@@ -1,10 +1,13 @@
 """Unit tests for repro.graph.csr."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.errors import GraphError
 from repro.graph.csr import CSRGraph, coalesce_edges
+from repro.graph.generators import rmat_edges
 
 
 def triangle() -> CSRGraph:
@@ -60,6 +63,102 @@ class TestCoalesce:
         s, d = coalesce_edges(src, dst, num_vertices=50)
         key = s.astype(np.int64) * 50 + d
         assert np.all(np.diff(key) > 0)  # strictly increasing => sorted+unique
+
+
+def _digest(g: CSRGraph) -> str:
+    raw = g.offsets.tobytes() + g.targets.tobytes()
+    return hashlib.sha256(raw).hexdigest()
+
+
+class TestKernel1Golden:
+    """Kernel 1 output is pinned bit for bit: SHA-256 prefixes of
+    ``offsets`` and ``targets`` as built by the argsort-and-gather
+    ``coalesce_edges`` that the in-place key sort replaced."""
+
+    @pytest.mark.parametrize(
+        "scale,seed,digest",
+        [
+            (10, 0, "610a1b133f5c3917"),
+            (10, 1, "19dd001d48d0e7ef"),
+            (10, 2, "39c0c106fbfab751"),
+            (11, 0, "95fa385924bd6e04"),
+            (11, 1, "f3a10d02dc7dbce5"),
+            (11, 2, "42f6e30183026843"),
+            (12, 0, "ad0013dd3d42db8d"),
+            (12, 1, "25f4f456d8ece6f9"),
+            (12, 2, "ca6d8e9e92941c95"),
+            (13, 0, "83697c2e5f5e84ae"),
+            (13, 1, "c6a203068db424b9"),
+            (13, 2, "bb129a10b30b8035"),
+            (14, 0, "320fa1da4374d841"),
+            (14, 1, "7149199b52bdaa63"),
+            (14, 2, "38b7201aaa640f9a"),
+        ],
+    )
+    def test_rmat(self, scale, seed, digest):
+        src, dst = rmat_edges(scale, 16, seed=seed)
+        g = CSRGraph.from_edges(src, dst, 1 << scale)
+        assert _digest(g).startswith(digest)
+
+    @pytest.mark.parametrize(
+        "flags,digest",
+        [
+            ({"dedup": False}, "24e7bec10ae7fe3d"),
+            ({"drop_self_loops": False}, "1517cece3edaf400"),
+            ({"symmetrize": False}, "77583ba3f464a783"),
+            (
+                dict(dedup=False, drop_self_loops=False, symmetrize=False),
+                "c2eac30db483d261",
+            ),
+        ],
+    )
+    def test_rmat_flags(self, flags, digest):
+        src, dst = rmat_edges(12, 16, seed=0)
+        g = CSRGraph.from_edges(src, dst, 1 << 12, **flags)
+        assert _digest(g).startswith(digest)
+
+    @pytest.mark.parametrize(
+        "src,dst,flags,offsets,targets",
+        [
+            ([], [], {}, [0, 0, 0, 0], []),
+            ([0, 1, 2], [0, 1, 2], {}, [0, 0, 0, 0], []),
+            (
+                [2, 0, 1],
+                [2, 0, 1],
+                {"drop_self_loops": False},
+                [0, 1, 2, 3],
+                [0, 1, 2],
+            ),
+            (
+                [2, 0, 1],
+                [2, 0, 1],
+                {"drop_self_loops": False, "dedup": False},
+                [0, 2, 4, 6],
+                [0, 0, 1, 1, 2, 2],
+            ),
+            (
+                [1, 0, 1],
+                [0, 1, 2],
+                {"dedup": False},
+                [0, 2, 5, 6],
+                [1, 1, 0, 0, 2, 1],
+            ),
+        ],
+        ids=[
+            "no-edges",
+            "self-loops-only",
+            "self-loops-kept",
+            "loops-no-dedup",
+            "no-dedup",
+        ],
+    )
+    def test_edge_cases(self, src, dst, flags, offsets, targets):
+        src = np.array(src, dtype=np.int64)
+        dst = np.array(dst, dtype=np.int64)
+        g = CSRGraph.from_edges(src, dst, 3, **flags)
+        assert g.offsets.dtype == np.int64 and g.targets.dtype == np.int32
+        assert g.offsets.tolist() == offsets
+        assert g.targets.tolist() == targets
 
 
 class TestConstruction:
