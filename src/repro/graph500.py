@@ -187,8 +187,10 @@ def run_graph500(
     specification checks (when ``validate`` is on).
 
     ``tracer`` overrides the process-global tracer: kernel 1
-    (construction) and every per-root kernel-2 traversal become spans,
-    and each root's time and TEPS feed the ``graph500.bfs_seconds`` /
+    (construction), every per-root kernel-2 traversal
+    (``graph500.bfs``) and its validation (``graph500.validate``, a
+    sibling, so the traversal span times the traversal alone) become
+    spans, and each root's time and TEPS feed the ``graph500.bfs_seconds`` /
     ``teps`` histograms.  ``history`` names a JSONL run-history store
     (:mod:`repro.obs.history`); when set, the finished run — metrics
     snapshot, span aggregates, harmonic-mean TEPS — is appended to it.
@@ -229,11 +231,12 @@ def run_graph500(
             t0 = now()
             result = engine(graph, int(root))
             times[i] = now() - t0
-            if validate:
-                result.validate(graph)
             teps[i] = result.traversed_edges(graph) / times[i]
             sp.set("seconds", float(times[i]))
             sp.set("teps", float(teps[i]))
+        if validate:
+            with tr.span("graph500.validate", root=int(root), index=i):
+                result.validate(graph)
         tr.observe("graph500.bfs_seconds", float(times[i]))
         tr.observe("teps", float(teps[i]))
     run = Graph500Result(

@@ -145,3 +145,31 @@ class TestGraph500:
             )
         assert len(tracer.spans("bfs.hybrid")) == 1
         assert result.validated
+
+    def test_validation_is_a_sibling_span(self, tracer, monkeypatch):
+        """``graph500.bfs`` times the traversal alone: a validator that
+        sleeps 50 ms shows up in every ``graph500.validate`` span and in
+        no ``graph500.bfs`` span."""
+        import time
+
+        import repro.graph.validate as validate
+
+        nap = 0.05
+
+        def slow_check(*args):
+            time.sleep(nap)
+            return []
+
+        monkeypatch.setattr(validate, "check_bfs", slow_check)
+        run_graph500(8, 8, num_roots=3, engine=HybridEngine(), tracer=tracer)
+        bfs = tracer.spans("graph500.bfs")
+        checks = tracer.spans("graph500.validate")
+        assert len(bfs) == len(checks) == 3
+        assert all(rec.duration < nap for rec in bfs)
+        assert all(rec.duration >= nap for rec in checks)
+        assert [rec.attrs["root"] for rec in checks] == [
+            rec.attrs["root"] for rec in bfs
+        ]
+        assert {rec.parent_id for rec in checks} == {
+            rec.parent_id for rec in bfs
+        }
