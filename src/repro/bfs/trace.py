@@ -14,10 +14,11 @@ directions at that level:
 * ``claimed`` — vertices added to the next queue.
 
 Because the bottom-up counters are functions of the level sets only
-(not of which direction actually executed), a single profile prices any
-per-level direction/device plan without re-traversing the graph: that is
-what makes exhaustive switching-point search (Fig. 8, 1,000 candidates)
-affordable here when the paper could only run it offline.
+(not of which direction actually executed), they are derived after one
+top-down traversal from its final level map, and a single profile prices
+any per-level direction/device plan without re-traversing the graph:
+that is what makes exhaustive switching-point search (Fig. 8, 1,000
+candidates) affordable here when the paper could only run it offline.
 """
 
 from __future__ import annotations

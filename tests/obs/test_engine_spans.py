@@ -119,6 +119,26 @@ class TestProfiler:
             assert (
                 rec.attrs["frontier_vertices"] == prof_rec.frontier_vertices
             )
+            assert rec.attrs["claimed"] == prof_rec.claimed
+
+    def test_profile_children_are_levels_and_counters(
+        self, rmat_small, rmat_source, tracer
+    ):
+        """The traversal's levels and the counter derivation are the
+        whole of ``bfs.profile``: no other child, nothing outside it."""
+        profile, _ = profile_bfs(rmat_small, rmat_source, tracer=tracer)
+        (root,) = tracer.spans("bfs.profile")
+        children = [s for s in tracer.spans() if s.parent_id == root.span_id]
+        assert [s.name for s in children] == (
+            ["bfs.level"] * len(profile) + ["bfs.profile.counters"]
+        )
+        assert [s.attrs["depth"] for s in children[:-1]] == list(
+            range(len(profile))
+        )
+        (counters,) = tracer.spans("bfs.profile.counters")
+        assert counters.attrs["levels"] == len(profile)
+        assert all(root.start <= s.start <= s.end <= root.end for s in children)
+        assert sum(s.duration for s in children) <= root.duration
 
 
 class TestGraph500:
