@@ -79,28 +79,27 @@ def estimate_rmat_params(graph: CSRGraph) -> tuple[float, float, float, float]:
 
     For a graph generated with known parameters (``meta['rmat_params']``)
     those are returned directly.  Otherwise the quadrant occupancy of the
-    top recursion level is measured: fraction of directed edges whose
-    (src, dst) fall in each half of the id space.  On an id-permuted graph
-    this degenerates to ~uniform, which is the honest answer (the ids
-    carry no structure); the estimator is mainly for unpermuted inputs
-    and for completing the Fig. 7 feature vector.
+    top recursion level is measured from the CSR arrays: fraction of
+    directed edges whose (src, dst) fall in each half of the id space.
+    On an id-permuted graph this degenerates to ~uniform, which is the
+    honest answer (the ids carry no structure); the estimator is mainly
+    for unpermuted inputs and for completing the Fig. 7 feature vector.
     """
     params = graph.meta.get("rmat_params")
     if params is not None:
         a, b, c, d = params
         return float(a), float(b), float(c), float(d)
-    src, dst = graph.edge_list()
-    if src.size == 0:
+    targets = graph.targets
+    m = targets.size
+    if m == 0:
         return (0.25, 0.25, 0.25, 0.25)
-    half = graph.num_vertices / 2
-    s1 = src >= half
-    d1 = dst >= half
-    m = src.size
-    a = float((~s1 & ~d1).sum() / m)
-    b = float((~s1 & d1).sum() / m)
-    c = float((s1 & ~d1).sum() / m)
-    d_ = float((s1 & d1).sum() / m)
-    return a, b, c, d_
+    # Rows below ``h`` are the low half of the id space; their entries
+    # end at ``offsets[h]``, so each side is one contiguous run.
+    h = (graph.num_vertices + 1) // 2
+    split = int(graph.offsets[h])
+    b = int(np.count_nonzero(targets[:split] >= h))
+    d = int(np.count_nonzero(targets[split:] >= h))
+    return (split - b) / m, b / m, (m - split - d) / m, d / m
 
 
 def graph_features(graph: CSRGraph) -> np.ndarray:

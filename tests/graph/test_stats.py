@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import GRAPH500_PARAMS, complete, rmat, star
+from repro.graph.generators import (
+    GRAPH500_PARAMS,
+    complete,
+    rmat,
+    rmat_edges,
+    star,
+)
 from repro.graph.stats import (
     compute_stats,
     estimate_rmat_params,
@@ -72,6 +80,88 @@ class TestRmatParams:
             0.25,
             0.25,
         )
+
+
+def _seed_estimate_rmat_params(graph):
+    """The quadrant estimate as it stood before it read the CSR arrays:
+    an edge-list rebuild and four |E|-long compares."""
+    src, dst = graph.edge_list()
+    if src.size == 0:
+        return (0.25, 0.25, 0.25, 0.25)
+    half = graph.num_vertices / 2
+    s1 = src >= half
+    d1 = dst >= half
+    m = src.size
+    a = float((~s1 & ~d1).sum() / m)
+    b = float((~s1 & d1).sum() / m)
+    c = float((s1 & ~d1).sum() / m)
+    d_ = float((s1 & d1).sum() / m)
+    return a, b, c, d_
+
+
+@st.composite
+def unlabelled_graph(draw):
+    """Random graph of odd or even order, symmetric or directed."""
+    n = draw(st.integers(min_value=1, max_value=41))
+    m = draw(st.integers(min_value=0, max_value=120))
+    ids = st.integers(min_value=0, max_value=n - 1)
+    return CSRGraph.from_edges(
+        np.array(draw(st.lists(ids, min_size=m, max_size=m)), dtype=np.int64),
+        np.array(draw(st.lists(ids, min_size=m, max_size=m)), dtype=np.int64),
+        n,
+        symmetrize=draw(st.booleans()),
+        drop_self_loops=draw(st.booleans()),
+    )
+
+
+class TestRmatParamsFromCSR:
+    """The estimate reads the quadrants off the CSR arrays and must equal
+    the edge-list formula bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(unlabelled_graph())
+    def test_random_graphs_match_seed(self, g):
+        assert estimate_rmat_params(g) == _seed_estimate_rmat_params(g)
+
+    @pytest.mark.parametrize("n", [(1 << 10) - 1, 1 << 10])
+    @pytest.mark.parametrize("symmetrize", [True, False])
+    def test_rmat_odd_and_even_order(self, n, symmetrize):
+        src, dst = rmat_edges(10, 16, seed=3)
+        keep = (src < n) & (dst < n)
+        g = CSRGraph.from_edges(src[keep], dst[keep], n, symmetrize=symmetrize)
+        got = estimate_rmat_params(g)
+        assert got == _seed_estimate_rmat_params(g)
+        assert sum(got) == pytest.approx(1.0)
+
+    def test_directed_odd_order(self):
+        g = CSRGraph.from_edges(
+            [0, 0, 1, 2, 3, 4, 4], [1, 4, 3, 2, 0, 1, 3], 5, symmetrize=False
+        )
+        assert estimate_rmat_params(g) == (1 / 6, 2 / 6, 2 / 6, 1 / 6)
+        assert estimate_rmat_params(g) == _seed_estimate_rmat_params(g)
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_edgeless(self, n):
+        g = CSRGraph.empty(n)
+        assert estimate_rmat_params(g) == (0.25, 0.25, 0.25, 0.25)
+        assert estimate_rmat_params(g) == _seed_estimate_rmat_params(g)
+
+    def test_no_edge_list_rebuild(self, monkeypatch):
+        g = CSRGraph.from_edges([0, 1, 2], [3, 2, 0], 4)
+
+        def rebuild(self):
+            raise AssertionError("estimate_rmat_params rebuilt the edge list")
+
+        monkeypatch.setattr(CSRGraph, "edge_list", rebuild)
+        assert sum(estimate_rmat_params(g)) == pytest.approx(1.0)
+
+    def test_meta_params_returned_as_given(self):
+        g = CSRGraph.from_edges(
+            [0, 1], [1, 2], 3, meta={"rmat_params": (1, 0, 0, 0)}
+        )
+        got = estimate_rmat_params(g)
+        assert got == (1.0, 0.0, 0.0, 0.0)
+        assert all(type(x) is float for x in got)
 
 
 class TestGraphFeatures:
