@@ -20,16 +20,16 @@ def test_package_lints_clean():
     assert violations == [], "\n" + format_text(violations)
 
 
-def test_package_lints_clean_deep():
+def test_package_lints_clean_deep(package_deep_lint):
     """The dataflow/race rules (RPR010-RPR014) must also run clean over
     the whole package — ``repro-bfs lint --deep src/repro`` is a merge
     gate from this PR onward."""
-    violations, checked = lint_paths([PACKAGE_DIR], deep=True)
+    violations, checked = package_deep_lint
     assert checked > 80, "package walk found suspiciously few files"
     assert violations == [], "\n" + format_text(violations)
 
 
-def test_deep_baseline_report_is_current():
+def test_deep_baseline_report_is_current(package_deep_lint):
     """The committed deep-analysis report must match a fresh run: zero
     violations, and the deep rule set it records still registered.
     Regenerate it (see its ``command`` field) if this drifts."""
@@ -51,7 +51,7 @@ def test_deep_baseline_report_is_current():
     assert {"RPR022", "RPR023", "RPR024", "RPR025", "RPR026"} <= set(
         baseline["deep_rules"]
     )
-    violations, checked = lint_paths([PACKAGE_DIR], deep=True)
+    violations, checked = package_deep_lint
     assert [v.as_dict() for v in violations] == baseline["violations"]
     assert checked >= baseline["files_checked"], (
         "package shrank below the committed baseline"

@@ -15,7 +15,6 @@ from repro.analysis import (
     PROTOCOLS,
     TypestateAnalysis,
     get_protocol,
-    lint_paths,
     lint_source,
     project_from_sources,
 )
@@ -485,11 +484,8 @@ class TestConformancePlumbing:
 # -- the package lints clean under the new rules ---------------------------
 
 
-def test_package_is_typestate_clean():
-    violations, checked = lint_paths(
-        [Path("src/repro")],
-        select=list(TYPESTATE_RULES),
-        deep=True,
-    )
+def test_package_is_typestate_clean(package_deep_lint):
+    violations, checked = package_deep_lint
+    violations = [v for v in violations if v.rule in TYPESTATE_RULES]
     assert checked > 80
     assert violations == []

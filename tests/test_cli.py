@@ -193,7 +193,7 @@ class TestDeepLintAndDataflow:
         assert args.fmt == "json"
         assert args.effects is True
 
-    def test_lint_deep_package_clean(self, capsys):
+    def test_lint_deep_package_clean(self, capsys, shared_package_deep_lint):
         assert main(["lint", "--deep"]) == 0
         assert "no issues" in capsys.readouterr().out
 
@@ -202,7 +202,7 @@ class TestDeepLintAndDataflow:
         out = capsys.readouterr().out
         assert "RPR010" in out and "[deep]" in out
 
-    def test_dataflow_package_clean(self, capsys):
+    def test_dataflow_package_clean(self, capsys, shared_package_deep_lint):
         assert main(["dataflow"]) == 0
         assert "no issues" in capsys.readouterr().out
 
