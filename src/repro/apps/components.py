@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bfs.bottomup import bottom_up_step
-from repro.bfs.hybrid import DirectionPolicy, LevelState, MNPolicy
+from repro.bfs.hybrid import DEFAULT_POLICY, DirectionPolicy, LevelState
 from repro.bfs.result import Direction
 from repro.bfs.topdown import top_down_step
 from repro.bfs.workspace import BFSWorkspace
@@ -65,17 +65,18 @@ def connected_components(
 
     Runs a shared-state level-synchronous sweep: the parent map doubles
     as the visited set across seeds, so total work stays O(V + E)
-    regardless of component count.  ``policy`` defaults to the (M, N)
-    rule with moderate thresholds.  A passed-in ``workspace`` supplies
-    every graph-sized scratch array (its parent/level maps are used as
-    the shared visited state and left holding the final forest).
+    regardless of component count.  ``policy`` defaults to
+    :data:`~repro.bfs.hybrid.DEFAULT_POLICY`.  A passed-in
+    ``workspace`` supplies every graph-sized scratch array (its
+    parent/level maps are used as the shared visited state and left
+    holding the final forest).
     """
     if not graph.symmetric:
         raise BFSError(
             "connected_components requires a symmetric (undirected) graph"
         )
     n = graph.num_vertices
-    policy = policy or MNPolicy(20.0, 100.0)
+    policy = policy or DEFAULT_POLICY
     degrees = graph.degrees
     nedges = max(graph.num_edges, 1)
 

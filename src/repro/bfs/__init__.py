@@ -4,6 +4,7 @@ kernels and the instrumented level profiler."""
 
 from repro.bfs.bottomup import bfs_bottom_up, bottom_up_step
 from repro.bfs.hybrid import (
+    DEFAULT_POLICY,
     DirectionPolicy,
     LevelState,
     MNPolicy,
@@ -34,6 +35,7 @@ __all__ = [
     "bottom_up_step",
     "bfs_hybrid",
     "MNPolicy",
+    "DEFAULT_POLICY",
     "DirectionPolicy",
     "LevelState",
     "ParallelBFS",

@@ -32,6 +32,7 @@ from repro.obs.tracer import Tracer, get_tracer
 
 __all__ = [
     "BOTTOM_UP_KERNELS",
+    "DEFAULT_POLICY",
     "LevelState",
     "DirectionPolicy",
     "MNPolicy",
@@ -83,6 +84,12 @@ class MNPolicy:
             and state.frontier_vertices < state.num_vertices / self.n
         )
         return Direction.TOP_DOWN if td else Direction.BOTTOM_UP
+
+
+#: The library's default switching point, (M, N) = (20, 100): the
+#: moderate thresholds behind :func:`repro.graph500.default_engine`,
+#: connected components and the level profiler.
+DEFAULT_POLICY = MNPolicy(20.0, 100.0)
 
 
 #: Recognized bottom-up kernel families for :func:`bfs_hybrid`.

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.bfs.hybrid import bfs_hybrid
+from repro.bfs.hybrid import DEFAULT_POLICY, bfs_hybrid
 from repro.bfs.profiler import pick_sources
 from repro.bfs.result import BFSResult
 from repro.bfs.workspace import BFSWorkspace
@@ -135,9 +135,9 @@ class Graph500Result:
 
 
 def default_engine(graph: CSRGraph, source: int) -> BFSResult:
-    """The library's recommended engine: the hybrid with the moderate
-    (M, N) defaults used across the examples."""
-    return bfs_hybrid(graph, source, m=20.0, n=100.0)
+    """The library's recommended engine: the hybrid at the default
+    switching point, :data:`~repro.bfs.hybrid.DEFAULT_POLICY`."""
+    return bfs_hybrid(graph, source, DEFAULT_POLICY)
 
 
 class HybridEngine:
@@ -154,7 +154,9 @@ class HybridEngine:
     intended usage.  Call ``result.detach()`` to keep one longer.
     """
 
-    def __init__(self, m: float = 20.0, n: float = 100.0) -> None:
+    def __init__(
+        self, m: float = DEFAULT_POLICY.m, n: float = DEFAULT_POLICY.n
+    ) -> None:
         self.m = float(m)
         self.n = float(n)
         self._workspace: BFSWorkspace | None = None
