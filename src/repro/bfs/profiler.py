@@ -1,6 +1,6 @@
 """Instrumented BFS producing a :class:`~repro.bfs.trace.LevelProfile`.
 
-One plain top-down traversal, then full counters for **both**
+One direction-optimizing traversal, then full counters for **both**
 directions at every level, derived from its final level map:
 
 * the top-down work at level ℓ is ``|E|cq`` (degree mass of the
@@ -12,6 +12,24 @@ directions at every level, derived from its final level map:
   sits on level ℓ, so one pass over the adjacency entries finds every
   such stop for every level at once (:func:`_records_from_levels`).
 
+The traversal only has to produce the level and parent maps, so on a
+symmetric graph each level runs whichever direction the default
+switching point (:data:`~repro.bfs.hybrid.DEFAULT_POLICY`) picks, as
+:func:`~repro.bfs.hybrid.bfs_hybrid` would.  The direction cannot change
+either map.  Take a vertex ``v`` claimed at level ℓ + 1:
+
+* top-down's first-writer claim over the ascending frontier gives it
+  the smallest-id level-ℓ vertex whose row holds ``v``;
+* bottom-up stops ``v``'s own row at its first level-ℓ entry, which is
+  the smallest such id because rows are sorted (the
+  :class:`~repro.graph.csr.CSRGraph` contract);
+* on a symmetric graph ``u``'s row holds ``v`` exactly when ``v``'s row
+  holds ``u``, so both pick the same parent.
+
+A directed graph runs top-down throughout: a bottom-up level looks for
+a vertex's parent in its own row, which holds its out-neighbours, not
+the in-neighbours that top-down would claim it from.
+
 Everything downstream (cost models, switching-point search, the
 heterogeneous planner) consumes profiles instead of re-running BFS.
 """
@@ -20,6 +38,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bfs.bottomup import bottom_up_step
+from repro.bfs.hybrid import DEFAULT_POLICY, LevelState
 from repro.bfs.result import BFSResult, Direction
 from repro.bfs.topdown import top_down_step
 from repro.bfs.trace import LevelProfile, LevelRecord
@@ -41,37 +61,66 @@ def profile_bfs(
 ) -> tuple[LevelProfile, BFSResult]:
     """Run an instrumented traversal from ``source``.
 
-    Returns the level profile and the (top-down-computed) BFS result.
+    Returns the level profile and the BFS result.  The result reads as
+    a pure top-down run's, whichever directions the levels ran: its
+    parent and level maps are the top-down ones (see the module notes;
+    this relies on sorted adjacency rows), ``directions`` is top-down at
+    every level and ``edges_examined`` is each level's ``|E|cq``.
     ``max_levels`` guards pathological graphs (e.g. long paths) when only
     the head of the profile is needed.
 
     ``tracer`` overrides the process-global tracer: levels become
     ``bfs.level`` spans under a ``bfs.profile`` root, carrying the
-    frontier size and the claimed count; the counter derivation after
-    the last level is a ``bfs.profile.counters`` span.
+    direction that ran, the frontier size and the claimed count; the
+    counter derivation after the last level is a
+    ``bfs.profile.counters`` span.
     """
     n = graph.num_vertices
     if not 0 <= source < n:
         raise BFSError(f"source {source} out of range [0, {n})")
     tr = tracer if tracer is not None else get_tracer()
+    nedges = max(graph.num_edges, 1)
+    degrees = graph.degrees
 
     ws = workspace if workspace is not None else BFSWorkspace(n)
     parent, level = ws.begin(source)
 
     frontier = np.array([source], dtype=np.int64)
-    directions: list[str] = []
-    edges_examined: list[int] = []
+    unvisited_count = n - 1
     depth = 0
     with tr.span("bfs.profile", source=source, num_vertices=n) as root:
         while frontier.size and (max_levels is None or depth < max_levels):
-            with tr.span("bfs.level", depth=depth) as sp:
-                next_frontier, examined = top_down_step(
-                    graph, frontier, parent, level, depth, ws
+            chosen = Direction.TOP_DOWN
+            if graph.symmetric:
+                chosen = DEFAULT_POLICY.direction(
+                    LevelState(
+                        depth=depth,
+                        frontier_vertices=int(frontier.size),
+                        frontier_edges=int(degrees[frontier].sum()),
+                        num_vertices=n,
+                        num_edges=nedges,
+                        unvisited_vertices=unvisited_count,
+                    )
                 )
+            with tr.span("bfs.level", depth=depth, direction=chosen) as sp:
+                if chosen == Direction.TOP_DOWN:
+                    next_frontier, _ = top_down_step(
+                        graph, frontier, parent, level, depth, ws
+                    )
+                else:
+                    next_frontier, _ = bottom_up_step(
+                        graph,
+                        ws.load_frontier(frontier),
+                        parent,
+                        level,
+                        depth,
+                        unvisited=ws.unvisited_ids(graph, parent),
+                        workspace=ws,
+                    )
                 sp.set("frontier_vertices", int(frontier.size))
                 sp.set("claimed", int(next_frontier.size))
-            directions.append(Direction.TOP_DOWN)
-            edges_examined.append(examined)
+            ws.retire_claimed(parent)
+            unvisited_count -= int(next_frontier.size)
             frontier = next_frontier
             depth += 1
         with tr.span("bfs.profile.counters", levels=depth):
@@ -89,8 +138,8 @@ def profile_bfs(
         source=source,
         parent=parent,
         level=level,
-        directions=directions,
-        edges_examined=edges_examined,
+        directions=[Direction.TOP_DOWN] * depth,
+        edges_examined=[r.frontier_edges for r in records],
     )
     return profile, result
 
@@ -98,8 +147,8 @@ def profile_bfs(
 def _records_from_levels(
     graph: CSRGraph, level: np.ndarray, depth: int
 ) -> tuple[LevelRecord, ...]:
-    """The first ``depth`` level records of a top-down run, from its
-    final level map (``-1`` for unreached).
+    """The first ``depth`` level records of a traversal, from its final
+    level map (``-1`` for unreached).
 
     Level ℓ's frontier is the vertices on level ℓ and its unvisited set
     is every vertex on a later level or unreached.  A bottom-up sweep at

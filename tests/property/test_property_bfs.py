@@ -1,7 +1,9 @@
 """Property-based tests for BFS on random graphs (hypothesis).
 
 The invariants: every engine matches the reference level map, passes
-Graph 500 validation, and matches networkx's shortest-path lengths.
+Graph 500 validation, and matches networkx's shortest-path lengths.  On
+symmetric graphs the direction of a level cannot change the parent a
+vertex gets, which is what lets the level profiler switch directions.
 """
 
 import networkx as nx
@@ -45,6 +47,26 @@ def random_graph_and_source(draw):
 
 
 @st.composite
+def random_symmetric_graph_and_source(draw):
+    """A symmetric graph with duplicates and self-loops kept or dropped;
+    ids drawn from a range wider than the edges reach leave isolated
+    vertices and several components."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    m = draw(st.integers(min_value=0, max_value=150))
+    ids = st.integers(min_value=0, max_value=n - 1)
+    src = draw(st.lists(ids, min_size=m, max_size=m))
+    dst = draw(st.lists(ids, min_size=m, max_size=m))
+    graph = CSRGraph.from_edges(
+        np.array(src, dtype=np.int64),
+        np.array(dst, dtype=np.int64),
+        n,
+        dedup=draw(st.booleans()),
+        drop_self_loops=draw(st.booleans()),
+    )
+    return graph, draw(ids)
+
+
+@st.composite
 def random_mn(draw):
     m = draw(st.floats(min_value=0.5, max_value=2000.0))
     n = draw(st.floats(min_value=0.5, max_value=2000.0))
@@ -71,6 +93,24 @@ def test_hybrid_correct_for_any_switching_point(case, mn):
     res = bfs_hybrid(graph, source, m=m, n=n)
     assert np.array_equal(res.level, ref.level)
     res.validate(graph)
+
+
+@given(random_symmetric_graph_and_source())
+@settings(max_examples=100, deadline=None)
+def test_parents_independent_of_direction(case):
+    """Top-down claims a vertex for its smallest-id frontier neighbour;
+    bottom-up's sorted-row scan finds the same one, so every direction
+    schedule yields the top-down parent and level maps."""
+    graph, source = case
+    want = bfs_top_down(graph, source)
+    runs = [bfs_bottom_up(graph, source)] + [
+        bfs_hybrid(graph, source, m=m, n=n)
+        for m in (1.0, 20.0, 1e9)
+        for n in (1.0, 20.0, 1e9)
+    ]
+    for res in runs:
+        assert np.array_equal(res.parent, want.parent)
+        assert np.array_equal(res.level, want.level)
 
 
 @given(random_graph_and_source())
