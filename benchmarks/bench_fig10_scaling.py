@@ -1,11 +1,6 @@
-"""Bench for Fig. 10 — strong/weak scaling (model) plus a real-machine
-thread-scaling measurement of the actual NumPy kernels."""
+"""Bench for Fig. 10 — strong/weak scaling from the cost model."""
 
 from repro.bench.experiments import fig10_scaling
-from repro.bfs.parallel import ParallelBFS
-from repro.bfs.profiler import pick_sources
-from repro.graph.generators import rmat
-from repro.obs.clock import now
 
 
 def test_fig10_scaling_model(benchmark, bench_config, report):
@@ -22,37 +17,3 @@ def test_fig10_scaling_model(benchmark, bench_config, report):
             and r["edgefactor"] == 16
         ]
         assert series[-1] > series[0]
-
-
-def test_fig10_real_thread_scaling(benchmark, bench_config, report):
-    """Wall-clock analogue: the thread-parallel hybrid on this machine."""
-    graph = rmat(bench_config.base_scale, 16, seed=0)
-    source = int(pick_sources(graph, 1, seed=0)[0])
-
-    import time
-
-    rows = []
-    for threads in (1, 2, 4):
-        with ParallelBFS.hybrid(threads, 20, 100) as eng:
-            eng.run(graph, source)  # warm
-            t0 = now()
-            res = eng.run(graph, source)
-            took = now() - t0
-        rows.append(
-            {
-                "threads": threads,
-                "seconds": took,
-                "gteps": res.traversed_edges(graph) / took / 1e9,
-            }
-        )
-    from repro.bench.runner import ExperimentResult
-
-    result = ExperimentResult(
-        name="fig10_real_threads",
-        title="Fig. 10 (real machine) — thread scaling of the NumPy hybrid",
-        rows=rows,
-    )
-    report(result)
-
-    with ParallelBFS.hybrid(4, 20, 100) as eng:
-        benchmark(lambda: eng.run(graph, source))

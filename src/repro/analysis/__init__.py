@@ -3,27 +3,26 @@
 Four coordinated correctness tools (see ``docs/static_analysis.md``):
 
 * :mod:`repro.analysis.lint` — a dependency-free AST rule engine with
-  codebase-specific rules (``RPR001`` … ``RPR014``) and line-level
+  codebase-specific rules (``RPR001`` … ``RPR012``) and line-level
   ``# repro: noqa[RULE]`` suppression; the repo lints itself as a
   tier-1 test.  Rules ``RPR010+`` are *deep* (dataflow) rules that run
   under ``repro-bfs lint --deep``.
-* :mod:`repro.analysis.dataflow` / :mod:`repro.analysis.effects` /
-  :mod:`repro.analysis.races` — an intraprocedural abstract
-  interpreter (dtype/shape lattice, workspace alias analysis), per-
-  function read/write/escape effect summaries, and a lockset-style
-  static race detector for the parallel BFS worker closures.
+* :mod:`repro.analysis.dataflow` / :mod:`repro.analysis.effects` —
+  an intraprocedural abstract interpreter (dtype/shape lattice,
+  workspace alias analysis) and per-function read/write/escape effect
+  summaries.
 * :mod:`repro.analysis.callgraph` / :mod:`repro.analysis.program` —
   whole-program analysis: a project-wide call graph with import-aware
   name resolution and method dispatch, a worklist *fixpoint* that
-  propagates effects through arbitrary call depth, and five
-  whole-program rules (``RPR015`` … ``RPR019``) covering resource
-  lifecycle, interprocedural workspace escapes, cross-module worker
-  writes, ownership gating and hot-path call cycles.  Exposed as
-  ``repro-bfs callgraph`` and folded into ``lint --deep``.
+  propagates effects through arbitrary call depth, and three
+  whole-program rules (``RPR015``, ``RPR016``, ``RPR019``) covering
+  resource lifecycle, interprocedural workspace escapes and hot-path
+  call cycles.  Exposed as ``repro-bfs callgraph`` and folded into
+  ``lint --deep``.
 * :mod:`repro.analysis.typestate` — typestate & protocol verification:
   a declarative registry of protocol state machines (live-channel
   handshake, ``ChannelExporter``, ``Collector``, ``FlightRecorder``,
-  ``BFSWorkspace``, ``ParallelBFS``) plus an abstract interpreter that
+  ``BFSWorkspace``) plus an abstract interpreter that
   checks each handle's lifecycle along the call graph.  Five more
   ``lint --deep`` rules (``RPR022`` … ``RPR026``) and the machinery
   behind the dynamic twin (:class:`repro.obs.live.ProtocolMonitor`,
@@ -31,9 +30,7 @@ Four coordinated correctness tools (see ``docs/static_analysis.md``):
 * :mod:`repro.analysis.sanitizer` — an opt-in runtime harness
   (``sanitize=True`` on the BFS engines) that freezes CSR arrays during
   traversal and checks per-level invariants, raising structured
-  :class:`~repro.errors.SanitizerError` on corruption; the parallel
-  engine additionally supports ``sanitize="race"`` write-tracking via
-  :class:`RaceTracker`.
+  :class:`~repro.errors.SanitizerError` on corruption.
 * :mod:`repro.analysis.units` — dimensional analysis that re-executes
   the cost model with unit-tagged quantities so its output provably
   reduces to seconds.
@@ -56,7 +53,7 @@ from repro.analysis.lint import (
     lint_paths,
     lint_source,
 )
-from repro.analysis.sanitizer import RaceTracker, Sanitizer, frozen_arrays
+from repro.analysis.sanitizer import Sanitizer, frozen_arrays
 from repro.analysis.units import (
     BYTES,
     DIMENSIONLESS,
@@ -72,7 +69,6 @@ from repro.analysis.units import (
 # Importing the rule modules registers RPR001..RPR026 in RULES.
 from repro.analysis import dataflow as _dataflow  # noqa: F401
 from repro.analysis import program as _program  # noqa: F401
-from repro.analysis import races as _races  # noqa: F401
 from repro.analysis import rules as _rules  # noqa: F401
 from repro.analysis.typestate import rules as _typestate_rules  # noqa: F401
 from repro.analysis.callgraph import (
@@ -138,7 +134,6 @@ __all__ = [
     "propagate_one_level",
     "format_effects",
     "Sanitizer",
-    "RaceTracker",
     "frozen_arrays",
     "Unit",
     "Quantity",

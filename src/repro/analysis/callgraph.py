@@ -8,10 +8,10 @@ module only.  This module lifts those summaries to the whole program:
 1. **Extraction** (per module, cacheable): parse each file once and
    record an import table, the class/method layout, per-function
    :class:`~repro.analysis.effects.FunctionEffects` base summaries,
-   thread-pool dispatch sites, resource acquisitions
-   (``ParallelBFS()``, executors, ``serve(...)``) and a lightweight
-   receiver-typing environment.  Records are keyed by the file's
-   SHA-256, so unchanged files are never re-analyzed
+   thread-pool dispatch sites, resource acquisitions (executors,
+   ``serve(...)``), the ``# repro: noqa[...]`` suppression map and a
+   lightweight receiver-typing environment.  Records are keyed by the
+   file's SHA-256, so unchanged files are never re-analyzed
    (:class:`SummaryCache` persists them across runs).
 2. **Resolution**: every recorded call site — bare names *and* dotted
    spellings like ``ws.begin`` or ``topdown.claim_first_writer`` — is
@@ -30,7 +30,7 @@ module only.  This module lifts those summaries to the whole program:
    generous round cap widens defensively.
 
 The resulting :class:`Project` answers the queries the whole-program
-rules (:mod:`repro.analysis.program`, RPR015–RPR019) and the
+rules (:mod:`repro.analysis.program`: RPR015, RPR016, RPR019) and the
 ``repro-bfs callgraph`` CLI need: ``who_writes("workspace.parent")``,
 transitive reachability, strongly-connected components through
 hot-path modules, and DOT/JSON exports.
@@ -40,17 +40,14 @@ from __future__ import annotations
 
 import ast
 import hashlib
-import io
 import json
-import re
-import tokenize
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro.analysis import effects as fx
-from repro.analysis.lint import is_hot_path
+from repro.analysis.lint import NodeIndex, is_hot_path, suppressions
 from repro.errors import CallGraphError
 
 __all__ = [
@@ -65,13 +62,8 @@ __all__ = [
     "edge_bindings",
 ]
 
-_OWNED_RE = re.compile(r"#\s*repro:\s*owned\[", re.IGNORECASE)
-
 #: Constructors that acquire a joinable/closeable resource (RPR015).
-RESOURCE_CTORS = frozenset(
-    {"ParallelBFS", "ThreadPoolExecutor", "ProcessPoolExecutor",
-     "WorkspacePool"}
-)
+RESOURCE_CTORS = frozenset({"ThreadPoolExecutor", "ProcessPoolExecutor"})
 #: Factory functions returning a resource that must be closed.
 RESOURCE_FACTORIES = frozenset({"serve"})
 #: Methods that release any of the above.
@@ -130,10 +122,8 @@ class FunctionInfo:
     end_line: int
     is_public: bool
     hot: bool
-    owned_gated: bool
     summary: fx.FunctionEffects
     locals: frozenset[str]
-    scratch: frozenset[str]
     types: tuple[tuple[str, str], ...]
     acquisitions: tuple[Acquisition, ...]
     temp_ctors: tuple[tuple[str, int, int], ...]
@@ -165,7 +155,10 @@ class ModuleRecord:
     imports: tuple[tuple[str, str], ...]
     classes: tuple[ClassInfo, ...]
     functions: tuple[FunctionInfo, ...]
-    owned_lines: frozenset[int]
+    #: ``# repro: noqa`` map as :func:`repro.analysis.lint.suppressions`
+    #: builds it: ``(line, codes)`` pairs, ``codes`` None for a blanket
+    #: marker.
+    noqa: tuple[tuple[int, tuple[str, ...] | None], ...]
 
 
 @dataclass(frozen=True)
@@ -274,19 +267,6 @@ def _ctor_locals(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> dict[str, str]:
             if raw:
                 out[node.targets[0].id] = raw
     return out
-
-
-def _scratch_locals(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
-    """Locals holding per-thread workspace scratch (``ws.buffer(...)``)."""
-    scratch: set[str] = set()
-    for node in fx._walk_own(fn):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            call = node.value
-            if isinstance(call.func, ast.Attribute) and call.func.attr == "buffer":
-                for tgt in node.targets:
-                    if isinstance(tgt, ast.Name):
-                        scratch.add(tgt.id)
-    return scratch
 
 
 def _looks_like_pool(node: ast.expr) -> bool:
@@ -478,26 +458,6 @@ def _extract_acquisitions(
     return tuple(acqs), tuple(temps)
 
 
-def _owned_lines(source: str) -> frozenset[int]:
-    """Lines carrying a real ``owned[...]`` *comment* annotation.
-
-    Tokenize-based so a docstring or message string that merely talks
-    about the annotation does not gate its function (the line-regex
-    shortcut the intramodule tier uses is fine there because it only
-    ever inspects write-statement lines).
-    """
-    out: set[int] = set()
-    try:
-        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-            if tok.type == tokenize.COMMENT and _OWNED_RE.search(tok.string):
-                out.add(tok.start[0])
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        for i, text in enumerate(source.splitlines(), 1):
-            if _OWNED_RE.search(text):
-                out.add(i)
-    return frozenset(out)
-
-
 def extract_module(path: str | Path, source: str) -> ModuleRecord:
     """Phase-1 extraction of one module (pure function of the source)."""
     p = Path(path)
@@ -508,7 +468,12 @@ def extract_module(path: str | Path, source: str) -> ModuleRecord:
         raise CallGraphError(f"{p}: cannot parse: {exc}") from exc
     sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
     imports = _import_table(tree, module)
-    owned = _owned_lines(source)
+    noqa = tuple(
+        (line, None if codes is None else tuple(sorted(codes)))
+        for line, codes in sorted(
+            suppressions(source.splitlines(), NodeIndex(tree)).items()
+        )
+    )
     import_names = frozenset(imports)
     ws_method_ids = fx._workspace_classes(tree)
     hot = is_hot_path(str(p))
@@ -544,7 +509,6 @@ def extract_module(path: str | Path, source: str) -> ModuleRecord:
                 summary = fx.function_effects(
                     node,
                     module_imports=import_names,
-                    owned_lines=owned,
                     self_is_workspace=id(node) in ws_method_ids,
                 )
                 end_line = getattr(node, "end_lineno", node.lineno)
@@ -566,12 +530,8 @@ def extract_module(path: str | Path, source: str) -> ModuleRecord:
                             for part in qname.split(".")
                         ),
                         hot=hot,
-                        owned_gated=any(
-                            node.lineno <= ln <= end_line for ln in owned
-                        ),
                         summary=summary,
                         locals=frozenset(fx._local_names(node)),
-                        scratch=frozenset(_scratch_locals(node)),
                         types=tuple(sorted(types.items())),
                         acquisitions=acqs,
                         temp_ctors=temps,
@@ -588,7 +548,7 @@ def extract_module(path: str | Path, source: str) -> ModuleRecord:
         imports=tuple(sorted(imports.items())),
         classes=tuple(classes),
         functions=tuple(functions),
-        owned_lines=owned,
+        noqa=noqa,
     )
 
 
@@ -648,7 +608,10 @@ def record_to_dict(rec: ModuleRecord) -> dict:
         "path": rec.path,
         "sha": rec.sha,
         "imports": [list(kv) for kv in rec.imports],
-        "owned_lines": sorted(rec.owned_lines),
+        "noqa": [
+            [line, None if codes is None else list(codes)]
+            for line, codes in rec.noqa
+        ],
         "classes": [
             {
                 "name": c.name,
@@ -670,10 +633,8 @@ def record_to_dict(rec: ModuleRecord) -> dict:
                 "end_line": f.end_line,
                 "is_public": f.is_public,
                 "hot": f.hot,
-                "owned_gated": f.owned_gated,
                 "summary": _summary_to_dict(f.summary),
                 "locals": sorted(f.locals),
-                "scratch": sorted(f.scratch),
                 "types": [list(kv) for kv in f.types],
                 "acquisitions": [
                     {
@@ -704,7 +665,10 @@ def record_from_dict(d: dict) -> ModuleRecord:
             path=d["path"],
             sha=d["sha"],
             imports=tuple((k, v) for k, v in d["imports"]),
-            owned_lines=frozenset(d["owned_lines"]),
+            noqa=tuple(
+                (line, None if codes is None else tuple(codes))
+                for line, codes in d["noqa"]
+            ),
             classes=tuple(
                 ClassInfo(
                     name=c["name"],
@@ -726,10 +690,8 @@ def record_from_dict(d: dict) -> ModuleRecord:
                     end_line=f["end_line"],
                     is_public=f["is_public"],
                     hot=f["hot"],
-                    owned_gated=f["owned_gated"],
                     summary=_summary_from_dict(f["summary"]),
                     locals=frozenset(f["locals"]),
-                    scratch=frozenset(f["scratch"]),
                     types=tuple((k, v) for k, v in f["types"]),
                     acquisitions=tuple(
                         Acquisition(
@@ -769,7 +731,7 @@ def record_from_dict(d: dict) -> ModuleRecord:
 #: entries written under another version are treated as misses, so a
 #: rule upgrade can never be served stale summaries for unchanged
 #: files.
-ANALYSIS_VERSION = 2
+ANALYSIS_VERSION = 3
 
 
 def _cache_key(sha: str) -> str:
@@ -861,7 +823,6 @@ class Project:
                 self.classes[ci.qname] = ci
                 self._classes_by_bare.setdefault(ci.name, []).append(ci.qname)
         self.edges: list[CallEdge] = []
-        self.workers: dict[str, list[str]] = {}
         self._resolve_edges()
         self._edges_by_caller: dict[str, list[CallEdge]] = {}
         for edge in self.edges:
@@ -1004,8 +965,6 @@ class Project:
                 )
             for worker_raw, line, col in info.dispatch_targets:
                 worker_q = self._resolve_plain(info, worker_raw)
-                if worker_q is not None:
-                    self.workers.setdefault(worker_q, []).append(info.qname)
                 self.edges.append(
                     CallEdge(
                         caller=info.qname,
@@ -1227,7 +1186,6 @@ class Project:
             "functions": len(self.functions),
             "edges": len(self.edges),
             "resolved_edges": resolved,
-            "workers": len(self.workers),
             "fixpoint_rounds": self.rounds,
         }
 

@@ -37,9 +37,8 @@ Two propagation strategies are provided:
 
 Unresolved callees (imports, attribute calls that the call graph
 cannot type) are assumed effect-free for their arguments —
-deliberately optimistic, because pessimism would drown the race
-detector in false positives.  The consumers of these summaries are
-documented in :mod:`repro.analysis.races` and
+deliberately optimistic, because pessimism would drown the rules in
+false positives.  The consumers of these summaries are documented in
 :mod:`repro.analysis.program`.
 
 Plain rebinding of a *local* name is not an effect; only names bound
@@ -276,15 +275,12 @@ def function_effects(
     fn: ast.FunctionDef | ast.AsyncFunctionDef,
     *,
     module_imports: frozenset[str] = frozenset(),
-    owned_lines: frozenset[int] = frozenset(),
     self_is_workspace: bool = False,
 ) -> FunctionEffects:
     """Direct (unpropagated) effects of one function definition.
 
     ``module_imports`` names resolve to modules, not arrays; they are
-    never recorded as mutating-method write targets.  Writes on a line
-    in ``owned_lines`` (``# repro: owned[...]`` annotations) are
-    protocol-sanctioned and excluded from the summary.
+    never recorded as mutating-method write targets.
     ``self_is_workspace`` marks methods of the workspace class itself,
     so their ``self.parent`` stores surface as ``workspace.parent``.
     """
@@ -307,9 +303,6 @@ def function_effects(
         if name in nonlocal_names or name not in locals_:
             return name
         return None
-
-    def owned(node: ast.AST) -> bool:
-        return getattr(node, "lineno", 0) in owned_lines
 
     # Pass 1: workspace-derived locals and call-result bindings, needed
     # before returns can be classified (walk order is not source order).
@@ -369,22 +362,18 @@ def function_effects(
         if isinstance(node, ast.Assign):
             for tgt in node.targets:
                 loc = _ws_location(tgt, ws_params)
-                if loc and not owned(node):
-                    ws_writes.add(loc)
-                if not owned(node):
-                    _record_store(tgt, tracked, writes)
-        elif isinstance(node, ast.AugAssign):
-            if not owned(node):
-                loc = _ws_location(node.target, ws_params)
                 if loc:
                     ws_writes.add(loc)
-                _record_store(node.target, tracked, writes)
+                _record_store(tgt, tracked, writes)
+        elif isinstance(node, ast.AugAssign):
+            loc = _ws_location(node.target, ws_params)
+            if loc:
+                ws_writes.add(loc)
+            _record_store(node.target, tracked, writes)
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            if not owned(node):
-                _record_store(node.target, tracked, writes)
+            _record_store(node.target, tracked, writes)
         elif isinstance(node, ast.Call):
-            if not owned(node):
-                _record_call_writes(node, tracked, writes, ws_params, ws_writes)
+            _record_call_writes(node, tracked, writes, ws_params, ws_writes)
             _record_call_site(node, calls)
         elif isinstance(node, ast.Raise):
             raises = True
@@ -490,9 +479,7 @@ def _workspace_classes(tree: ast.Module) -> set[int]:
     return method_ids
 
 
-def module_effects(
-    tree: ast.Module, *, owned_lines: frozenset[int] = frozenset()
-) -> dict[str, FunctionEffects]:
+def module_effects(tree: ast.Module) -> dict[str, FunctionEffects]:
     """Effects for every function defined anywhere in ``tree``.
 
     Keyed by bare function name.  On a name collision (rare within one
@@ -508,7 +495,6 @@ def module_effects(
         fx = function_effects(
             node,
             module_imports=imports,
-            owned_lines=owned_lines,
             self_is_workspace=id(node) in ws_methods,
         )
         prior = out.get(fx.name)

@@ -5,9 +5,8 @@ codebase-specific: they encode the invariants this reproduction's hot
 paths rely on (vectorized kernels, wide index dtypes, monotonic clocks,
 library-grade error reporting, frozen CSR storage) rather than generic
 style.  The concrete rules live in :mod:`repro.analysis.rules` (the
-line-local pattern rules) and :mod:`repro.analysis.dataflow` /
-:mod:`repro.analysis.races` (the deep dataflow rules); this module
-provides the machinery:
+line-local pattern rules) and :mod:`repro.analysis.dataflow` (the
+deep dataflow rules); this module provides the machinery:
 
 * a rule registry (``RULES``) populated by the :func:`rule` decorator;
 * a two-tier rule model: default rules run everywhere, ``deep`` rules
@@ -41,7 +40,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import LintError
 
@@ -237,7 +236,7 @@ def _ensure_rules_loaded() -> None:
     # us.  Import unconditionally (imports are idempotent): guarding on
     # an empty registry would leave the set partial when a rule module
     # was imported directly first.
-    from repro.analysis import dataflow, program, races, rules  # noqa: F401
+    from repro.analysis import dataflow, program, rules  # noqa: F401
     from repro.analysis.typestate import rules as _typestate  # noqa: F401
 
 
@@ -269,7 +268,7 @@ def _resolve_select(
     return chosen
 
 
-def _suppressions(
+def suppressions(
     lines: Sequence[str], index: NodeIndex | None = None
 ) -> dict[int, set[str] | None]:
     """Per-line suppression map: line -> set of codes, or ``None`` for
@@ -312,6 +311,18 @@ def _suppressions(
     return out
 
 
+def is_suppressed(
+    marks: Mapping[int, Collection[str] | None], line: int, code: str
+) -> bool:
+    """Whether a :func:`suppressions` map silences ``code`` on
+    ``line``.  The one suppression check behind :func:`lint_source`
+    and :func:`repro.analysis.program.program_report`."""
+    if line not in marks:
+        return False
+    codes = marks[line]
+    return codes is None or code in codes
+
+
 def is_hot_path(path: str) -> bool:
     """Whether ``path`` belongs to a hot-path package (RPR001 scope)."""
     posix = Path(path).as_posix()
@@ -350,14 +361,13 @@ def lint_source(
         index=index,
         project=project,
     )
-    suppressed = _suppressions(lines, index)
+    suppressed = suppressions(lines, index)
     violations: list[Violation] = []
     for rl in _resolve_select(select, deep=deep):
         if rl.hot_path_only and not ctx.hot_path:
             continue
         for lineno, col, message in rl.check(ctx):
-            mask = suppressed.get(lineno, "absent")
-            if mask is None or (mask != "absent" and rl.code in mask):
+            if is_suppressed(suppressed, lineno, rl.code):
                 continue
             violations.append(
                 Violation(

@@ -1,38 +1,36 @@
-"""Whole-program deep rules (RPR015–RPR019) over the project call graph.
+"""Whole-program deep rules (RPR015, RPR016, RPR019) over the project
+call graph.
 
 These rules consume the fixpoint facts of
 :mod:`repro.analysis.callgraph` — effects propagated through arbitrary
 call depth, across modules, with method dispatch — so they see
-violations that the intraprocedural tier (RPR010–RPR014) provably
+violations that the intraprocedural tier (RPR010–RPR012) provably
 cannot:
 
 ========  ==============================================================
-RPR015    resource lifecycle: a ``ParallelBFS`` / executor /
-          ``serve(...)``'d HTTP server acquired on a path that can
-          raise before ``close()`` (exception-flow close-on-all-paths),
-          a bound resource never closed, or a temporary engine that is
-          never closed at all
+RPR015    resource lifecycle: an executor or ``serve(...)``'d HTTP
+          server acquired on a path that can raise before ``close()``
+          (exception-flow close-on-all-paths), a bound resource never
+          closed, or a temporary pool that is never closed at all
 RPR016    a *public* function returns workspace-aliased storage derived
           from its workspace parameter without ``detach()``/``copy()``
           — the interprocedural generalization of RPR011
-RPR017    a thread-pool worker routes a write to a closure-captured
-          shared protocol array through helper functions in *other*
-          modules (extends RPR013/RPR014 across module boundaries)
-RPR018    a public function transitively calls a
-          ``# repro: owned[...]``-gated helper without holding
-          ownership (no annotation on the path, no mediator in the
-          helper's own module)
 RPR019    a call-graph cycle through hot-path modules — a Python-level
           call per vertex where :func:`~repro.analysis.lint.is_hot_path`
           prices Python dispatch as forbidden
 ========  ==============================================================
 
-All five are ``deep`` *and* ``whole_program``: ``lint_paths`` builds
+All three are ``deep`` *and* ``whole_program``: ``lint_paths`` builds
 one :class:`~repro.analysis.callgraph.Project` over every file in the
 run and threads it through :class:`~repro.analysis.lint.ModuleContext`.
 When a rule is invoked on a lone source string (fixture tests), it
 falls back to a single-file project, which still exercises the full
 fixpoint machinery within that file.
+
+:func:`program_report` drops findings on lines that carry a matching
+``# repro: noqa[...]`` marker, using the same per-module suppression
+map :func:`~repro.analysis.lint.lint_source` applies, so the committed
+whole-program baseline and ``lint --deep`` give one verdict per line.
 """
 
 from __future__ import annotations
@@ -40,26 +38,11 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from repro.analysis import effects as fx
-from repro.analysis.callgraph import (
-    Project,
-    edge_bindings,
-    project_from_sources,
-)
-from repro.analysis.lint import ModuleContext, rule
+from repro.analysis.callgraph import Project, project_from_sources
+from repro.analysis.lint import ModuleContext, is_suppressed, rule
 from repro.errors import CallGraphError
 
-__all__ = [
-    "PROTOCOL_SHARED",
-    "program_report",
-]
-
-#: Shared-array names of the documented claim protocol
-#: (:mod:`repro.bfs.parallel`): workers may read these freely but every
-#: write happens on the main thread after the pool joins.
-PROTOCOL_SHARED = frozenset(
-    {"parent", "level", "cand_parent", "frontier", "unvisited", "in_frontier"}
-)
+__all__ = ["program_report"]
 
 Findings = dict[str, dict[str, list[tuple[int, int, str]]]]
 
@@ -82,24 +65,22 @@ def _project_for(ctx: ModuleContext) -> Project | None:
 def program_report(project: Project) -> Findings:
     """All whole-program findings, bucketed ``code -> path -> triples``.
 
-    Computed once per project and memoized on the instance; the five
-    rule callbacks then just filter by the module they were invoked on.
+    Computed once per project and memoized on the instance; the rule
+    callbacks then just filter by the module they were invoked on.
+    Findings on a ``# repro: noqa[...]`` line are left out.
     """
     cached = getattr(project, "_program_report", None)
     if cached is not None:
         return cached
-    report: Findings = {
-        code: {} for code in
-        ("RPR015", "RPR016", "RPR017", "RPR018", "RPR019")
-    }
+    report: Findings = {code: {} for code in ("RPR015", "RPR016", "RPR019")}
+    noqa = {rec.path: dict(rec.noqa) for rec in project.modules.values()}
 
     def add(code: str, path: str, line: int, col: int, msg: str) -> None:
-        report[code].setdefault(path, []).append((line, col, msg))
+        if not is_suppressed(noqa.get(path, {}), line, code):
+            report[code].setdefault(path, []).append((line, col, msg))
 
     _check_resources(project, add)
     _check_workspace_escapes(project, add)
-    _check_cross_module_ownership(project, add)
-    _check_owned_gating(project, add)
     _check_hot_cycles(project, add)
     for buckets in report.values():
         for triples in buckets.values():
@@ -196,98 +177,6 @@ def _check_workspace_escapes(project: Project, add) -> None:
         )
 
 
-# -- RPR017: cross-module ownership ---------------------------------------
-
-
-@lru_cache(maxsize=256)
-def _module_local_writes(record) -> dict[str, frozenset[str]]:
-    """Bare-name -> written params under *module-local* fixpoint
-    propagation, to tell apart what RPR014 already reports."""
-    local = {info.name: info.summary for info in record.functions}
-    propagated = fx.propagate(local)
-    return {name: s.writes for name, s in propagated.items()}
-
-
-def _check_cross_module_ownership(project: Project, add) -> None:
-    for worker_q in project.workers:
-        info = project.functions.get(worker_q)
-        if info is None:
-            continue
-        record = project.modules[info.module]
-        local_writes = _module_local_writes(record)
-        for edge in project._edges_by_caller.get(worker_q, ()):
-            if edge.dispatch or edge.callee is None:
-                continue
-            callee_info = project.functions[edge.callee]
-            callee_summary = project.summaries[edge.callee]
-            for param, arg in edge_bindings(edge, callee_summary.params):
-                if arg not in PROTOCOL_SHARED:
-                    continue
-                if arg in info.locals or arg in info.scratch:
-                    continue  # worker-owned chunk / scratch / local
-                if param not in callee_summary.writes:
-                    continue
-                if edge.line in record.owned_lines:
-                    continue
-                same_module = callee_info.module == info.module
-                if same_module and param in local_writes.get(
-                    callee_info.name, frozenset()
-                ):
-                    continue  # RPR014's module-local engine reports this
-                add(
-                    "RPR017", info.path, edge.line, edge.col,
-                    f"worker `{info.name}` passes shared protocol array "
-                    f"`{arg}` to `{edge.raw}` "
-                    f"({callee_info.module}), whose whole-program effect "
-                    f"summary writes parameter `{param}`; a cross-module "
-                    "write outside the ownership protocol (annotate "
-                    "deliberate partitioned writes with "
-                    "`# repro: owned[...]`)",
-                )
-
-
-# -- RPR018: ownership-gated helpers reached without ownership ------------
-
-
-def _check_owned_gating(project: Project, add) -> None:
-    gated = [
-        info for info in project.functions.values() if info.owned_gated
-    ]
-    if not gated:
-        return
-    reverse: dict[str, list] = {}
-    for edge in project.edges:
-        if edge.callee is not None:
-            reverse.setdefault(edge.callee, []).append(edge)
-    for helper in gated:
-        seen: set[str] = set()
-        stack = [helper.qname]
-        while stack:
-            cur = stack.pop()
-            for edge in reverse.get(cur, ()):
-                caller = project.functions[edge.caller]
-                if caller.qname in seen:
-                    continue
-                caller_record = project.modules[caller.module]
-                if edge.line in caller_record.owned_lines:
-                    continue  # the call site holds ownership
-                if caller.module == helper.module:
-                    continue  # mediated inside the owning module
-                if caller.owned_gated:
-                    continue  # the caller itself holds ownership
-                seen.add(caller.qname)
-                if caller.is_public:
-                    add(
-                        "RPR018", caller.path, caller.line, 0,
-                        f"public `{caller.name}` transitively calls "
-                        f"ownership-gated `{helper.name}` "
-                        f"({helper.path}:{helper.line}) without holding "
-                        "ownership: no `# repro: owned[...]` on the "
-                        "path and no mediator in the owning module",
-                    )
-                stack.append(caller.qname)
-
-
 # -- RPR019: call cycles through hot-path modules -------------------------
 
 
@@ -312,7 +201,7 @@ def _check_hot_cycles(project: Project, add) -> None:
 
 @rule(
     "RPR015",
-    "resource (ParallelBFS / executor / HTTP server) acquired on a path "
+    "resource (executor / HTTP server) acquired on a path "
     "that can raise before close(); close-on-all-paths exception-flow "
     "analysis",
     deep=True,
@@ -331,28 +220,6 @@ def check_resource_lifecycle(ctx: ModuleContext) -> Iterator[tuple[int, int, str
 )
 def check_workspace_escape(ctx: ModuleContext) -> Iterator[tuple[int, int, str]]:
     yield from _yield_for(ctx, "RPR016")
-
-
-@rule(
-    "RPR017",
-    "worker-side write to a shared protocol array routed through a "
-    "helper in another module (cross-module RPR013/RPR014)",
-    deep=True,
-    whole_program=True,
-)
-def check_cross_module_ownership(ctx: ModuleContext) -> Iterator[tuple[int, int, str]]:
-    yield from _yield_for(ctx, "RPR017")
-
-
-@rule(
-    "RPR018",
-    "public function transitively calls a `# repro: owned[...]`-gated "
-    "helper without holding ownership",
-    deep=True,
-    whole_program=True,
-)
-def check_owned_gating(ctx: ModuleContext) -> Iterator[tuple[int, int, str]]:
-    yield from _yield_for(ctx, "RPR018")
 
 
 @rule(

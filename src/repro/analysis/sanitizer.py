@@ -21,33 +21,21 @@ corrupting the graph for every later traversal.
 4. the unvisited count is strictly decreasing while the traversal makes
    progress, and always agrees with the parent map.
 
-**Write tracking (race mode)** — :class:`RaceTracker` backs the
-parallel engine's ``sanitize="race"`` mode.  It snapshots the
-``parent``/``level`` maps before each level, lets worker threads stamp
-the segments they process, and after the level verifies that the set
-of modified vertices is *exactly* the claimed next frontier — any
-write outside the claimed set is a cross-thread write that bypassed
-the main-thread merge (the ownership protocol the static rules
-``RPR013``/``RPR014`` enforce at the AST level), and raises
-:class:`~repro.errors.SanitizerError` naming the rogue vertices.
-
 Violations raise :class:`~repro.errors.SanitizerError` carrying the
 level and the offending vertex ids.  The checks are vectorized and add
-``O(frontier)`` work per level (``O(V)`` per level in race mode), so
-sanitized runs remain usable on Graph 500-scale inputs (the acceptance
-bar is a clean R-MAT scale-14 hybrid run).
+``O(frontier)`` work per level, so sanitized runs remain usable on
+Graph 500-scale inputs (the acceptance bar is a clean R-MAT scale-14
+hybrid run).
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
 from repro.errors import BFSError, SanitizerError
 from repro.graph.csr import CSRGraph
 
-__all__ = ["Sanitizer", "RaceTracker", "frozen_arrays"]
+__all__ = ["Sanitizer", "frozen_arrays"]
 
 
 class frozen_arrays:
@@ -235,94 +223,4 @@ class Sanitizer:
         return (
             f"sanitizer: {self.levels_checked} levels, "
             f"{self.vertices_checked} vertices checked, 0 violations"
-        )
-
-
-class RaceTracker:
-    """Thread-ownership write tracking for ``ParallelBFS`` race mode.
-
-    The parallel engine's ownership protocol says all ``parent``/
-    ``level`` writes happen on the main thread, as the first-writer
-    claim of the next frontier, after the worker pool has joined.  The
-    tracker enforces that dynamically:
-
-    * :meth:`begin_level` snapshots both maps (into reused buffers —
-      two O(V) copies per level, only in race mode);
-    * workers call :meth:`stamp_chunk` to record which thread touched
-      which segment (pure bookkeeping, used for diagnostics);
-    * :meth:`verify_level` diffs the maps against the snapshot and
-      raises :class:`~repro.errors.SanitizerError` if any vertex
-      changed that is **not** in the claimed next frontier — a write
-      that bypassed the main-thread merge — or if a claimed vertex was
-      never actually written.
-
-    Because the legitimate write set is exactly the claimed frontier,
-    the check is independent of how the level function is implemented:
-    a worker scribbling on shared state is caught even if it races the
-    snapshot, since its target vertices are not claimed.
-    """
-
-    def __init__(self, graph: CSRGraph, source: int) -> None:
-        n = graph.num_vertices
-        if not 0 <= source < n:
-            raise BFSError(f"source {source} out of range [0, {n})")
-        self._snap_parent = np.empty(n, dtype=np.int64)
-        self._snap_level = np.empty(n, dtype=np.int64)
-        self._stamps: list[tuple[int, str]] = []
-        self._lock = threading.Lock()
-        self.levels_verified = 0
-        self.writes_verified = 0
-
-    def begin_level(self, parent: np.ndarray, level: np.ndarray) -> None:
-        """Snapshot the maps before the level's kernels run."""
-        np.copyto(self._snap_parent, parent)
-        np.copyto(self._snap_level, level)
-        self._stamps.clear()
-
-    def stamp_chunk(self, note: str = "") -> None:
-        """Record that the calling thread processed one work chunk."""
-        with self._lock:
-            self._stamps.append((threading.get_ident(), note))
-
-    def verify_level(
-        self,
-        depth: int,
-        parent: np.ndarray,
-        level: np.ndarray,
-        claimed: np.ndarray,
-    ) -> None:
-        """Check that this level's writes are exactly the claimed set."""
-        claimed = np.sort(np.asarray(claimed, dtype=np.int64))
-        threads = sorted({tid for tid, _ in self._stamps})
-        for name, current, snapshot in (
-            ("parent", parent, self._snap_parent),
-            ("level", level, self._snap_level),
-        ):
-            changed = np.flatnonzero(current != snapshot)
-            rogue = np.setdiff1d(changed, claimed)
-            if rogue.size:
-                raise SanitizerError(
-                    f"{rogue.size} write(s) to the {name} map outside "
-                    f"the claimed next frontier at depth {depth} — a "
-                    "cross-thread write bypassed the main-thread merge "
-                    f"(worker threads this level: {threads})",
-                    level=depth,
-                    vertices=tuple(rogue[:16]),
-                )
-            unwritten = np.setdiff1d(claimed, changed)
-            if unwritten.size:
-                raise SanitizerError(
-                    f"{unwritten.size} claimed vertex(es) never written "
-                    f"to the {name} map at depth {depth}",
-                    level=depth,
-                    vertices=tuple(unwritten[:16]),
-                )
-            self.writes_verified += int(changed.size)
-        self.levels_verified += 1
-
-    def summary(self) -> str:
-        """One-line report for a clean run."""
-        return (
-            f"race tracker: {self.levels_verified} levels, "
-            f"{self.writes_verified} writes verified, 0 rogue writes"
         )

@@ -3,8 +3,8 @@
 A declarative registry of protocol state machines
 (:class:`~repro.analysis.typestate.spec.ProtocolSpec`) for the repo's
 stateful contracts — the ``repro.obs.live/1`` frame handshake,
-``ChannelExporter``, ``Collector``, ``FlightRecorder``,
-``BFSWorkspace`` and ``ParallelBFS`` lifecycles — plus an abstract
+``ChannelExporter``, ``Collector``, ``FlightRecorder`` and
+``BFSWorkspace`` lifecycles — plus an abstract
 interpreter (:mod:`~repro.analysis.typestate.interp`) that checks
 every function against those machines along the PR 6 call graph.
 Registers lint rules RPR022–RPR026; the same machines power the
@@ -25,7 +25,6 @@ from repro.analysis.typestate.spec import (
     COLLECTOR,
     FLIGHT_RECORDER,
     LIVE_CHANNEL,
-    PARALLEL_BFS,
     PROTOCOLS,
     ProtocolSpec,
     all_ctor_names,
@@ -40,7 +39,6 @@ __all__ = [
     "COLLECTOR",
     "FLIGHT_RECORDER",
     "LIVE_CHANNEL",
-    "PARALLEL_BFS",
     "PROTOCOLS",
     "ProtocolSpec",
     "TYPESTATE_RULES",

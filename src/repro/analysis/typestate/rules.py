@@ -13,7 +13,7 @@ RPR022    frame-protocol ordering: frames sent before hello / after
           the close handshake, or a clean exit that never sends
           ``metrics_final``/``bye``
 RPR023    use of a closed/undrained handle (``Collector``,
-          ``ChannelExporter``, ``FlightRecorder``, ``ParallelBFS``)
+          ``ChannelExporter``, ``FlightRecorder``)
 RPR024    a workspace result still live (read later or escaped) when
           the workspace is re-lent to another traversal
 RPR025    a raise-capable path on which an open protocol can never
@@ -74,7 +74,7 @@ def _check_rpr022(ctx: ModuleContext) -> Iterator[tuple[int, int, str]]:
 @rule(
     "RPR023",
     "use of a closed or undrained handle "
-    "(Collector/ChannelExporter/FlightRecorder/ParallelBFS)",
+    "(Collector/ChannelExporter/FlightRecorder)",
     deep=True,
     whole_program=True,
 )

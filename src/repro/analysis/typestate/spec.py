@@ -22,8 +22,6 @@ flight-recorder   :class:`~repro.obs.profile.FlightRecorder` attach/detach
 bfs-workspace     :class:`~repro.bfs.workspace.BFSWorkspace`:
                   idle → (begin/traverse) active → (result bound) lent
                   → (detach) active
-parallel-bfs      :class:`~repro.bfs.parallel.ParallelBFS`:
-                  open → (close) closed
 ================  =========================================================
 
 Each machine carries the lint rule that owns its misuse findings
@@ -76,7 +74,7 @@ class ProtocolSpec:
     owner_rule: str | None = None
     #: Rule code for "a raise-capable path leaves the protocol unable
     #: to reach an accepting state" (None when another rule owns it,
-    #: e.g. RPR015 already reports leaked ``ParallelBFS`` engines).
+    #: e.g. RPR015 already reports leaked thread pools).
     raise_rule: str | None = None
     #: Whether events are frame kinds (the live stream) rather than
     #: method calls on a Python object.
@@ -359,30 +357,6 @@ BFS_WORKSPACE = ProtocolSpec(
     owner_rule="RPR024",
 )
 
-#: ``ParallelBFS``: ``run()`` needs an open engine; ``close()`` joins
-#: the pool (idempotent).  Never-closed engines are RPR015's finding;
-#: run-after-close is RPR023's.
-PARALLEL_BFS = ProtocolSpec(
-    name="parallel-bfs",
-    subject="ParallelBFS",
-    description=(
-        "run() requires an open engine; close() joins the thread pool "
-        "(idempotent); the context manager closes on exit"
-    ),
-    states=("open", "closed"),
-    initial="open",
-    accepting=frozenset({"closed"}),
-    transitions=(
-        ("open", "run", "open"),
-        ("open", "close", "closed"),
-        ("closed", "close", "closed"),
-    ),
-    ctors=frozenset({"ParallelBFS"}),
-    method_events=(("run", "run"), ("close", "close")),
-    exit_event="close",
-    owner_rule="RPR023",
-)
-
 #: Every built-in machine, by name.
 PROTOCOLS: dict[str, ProtocolSpec] = {
     spec.name: spec
@@ -392,7 +366,6 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
         COLLECTOR,
         FLIGHT_RECORDER,
         BFS_WORKSPACE,
-        PARALLEL_BFS,
     )
 }
 

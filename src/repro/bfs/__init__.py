@@ -1,6 +1,6 @@
 """BFS engines: reference, vectorized top-down/bottom-up, the
-direction-optimizing hybrid, the SpMV formulation, thread-parallel
-kernels and the instrumented level profiler."""
+direction-optimizing hybrid, the SpMV formulation and the instrumented
+level profiler."""
 
 from repro.bfs.bottomup import bfs_bottom_up, bottom_up_step
 from repro.bfs.hybrid import (
@@ -11,7 +11,6 @@ from repro.bfs.hybrid import (
     bfs_hybrid,
 )
 from repro.bfs.multisource import MultiSourceResult, msbfs
-from repro.bfs.parallel import ParallelBFS
 from repro.bfs.profiler import pick_sources, profile_bfs
 from repro.bfs.reference import bfs_reference
 from repro.bfs.result import BFSResult, Direction
@@ -38,7 +37,6 @@ __all__ = [
     "DEFAULT_POLICY",
     "DirectionPolicy",
     "LevelState",
-    "ParallelBFS",
     "msbfs",
     "MultiSourceResult",
     "bfs_spmv",

@@ -25,20 +25,11 @@ The pieces:
   claimed vertices each level instead of rescanning ``parent < 0``.
 * a grow-only read-only ``arange`` cache (:meth:`iota`) shared by the
   gather kernels and the O(k) claim step.
-* named per-thread scratch buffers (:meth:`buffer`) so the
-  thread-parallel engine's workers never contend for scratch.
-
-Thread-safety: :meth:`iota` may be called concurrently from
-:class:`~repro.bfs.parallel.ParallelBFS` workers — the cache is
-published read-only and a racing grow is benign (each thread keeps a
-valid view).  :meth:`buffer` keys scratch by thread id.  Everything
-else (``begin``, claim slots, unvisited maintenance) is main-thread
-state driven by the level loop.
+* named grow-only scratch buffers (:meth:`buffer`) for the kernels'
+  per-level index temporaries.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -80,7 +71,7 @@ class BFSWorkspace:
         self._unv: np.ndarray | None = None
         self._unv_backing: np.ndarray | None = None
         self._unv_spare: np.ndarray | None = None
-        self._buffers: dict[tuple[str, str, int], np.ndarray] = {}
+        self._buffers: dict[tuple[str, str], np.ndarray] = {}
 
     @classmethod
     def for_graph(cls, graph: CSRGraph) -> "BFSWorkspace":
@@ -206,19 +197,12 @@ class BFSWorkspace:
         return slot
 
     def buffer(self, name: str, size: int, dtype: np.dtype) -> np.ndarray:
-        """A named grow-only scratch buffer, private to the calling thread.
+        """A named grow-only scratch buffer, keyed by ``(name, dtype)``.
 
         Returns a writable view of exactly ``size`` elements.  Contents
         are unspecified; callers must fully overwrite what they read.
-
-        Ownership note: the key includes ``threading.get_ident()``, so
-        two pool workers asking for the same ``name`` get *disjoint*
-        backing arrays — this is what makes workspace scratch a
-        permitted write target inside ``ParallelBFS`` worker closures
-        (ownership protocol rule 2; static rule ``RPR013`` whitelists
-        buffers obtained inside the worker for the same reason).
         """
-        key = (name, np.dtype(dtype).str, threading.get_ident())
+        key = (name, np.dtype(dtype).str)
         buf = self._buffers.get(key)
         if buf is None or buf.size < size:
             buf = np.empty(max(size, _MIN_GROW), dtype=dtype)

@@ -145,8 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint_p.add_argument(
         "--deep",
         action="store_true",
-        help="also run the deep dataflow/race/typestate rules "
-        "(RPR010..RPR026)",
+        help="also run the deep dataflow/whole-program/typestate rules "
+        "(RPR010-RPR012, RPR015, RPR016, RPR019, RPR021-RPR026)",
     )
     lint_p.add_argument(
         "--changed",
@@ -213,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     df_p = sub.add_parser(
         "dataflow",
-        help="run only the deep dataflow/race rules (RPR010..RPR014)",
+        help="run only the deep rules (RPR010-RPR012, RPR015, RPR016, "
+        "RPR019, RPR021-RPR026)",
     )
     df_p.add_argument(
         "paths",
@@ -286,14 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     tr_p.add_argument("--seed", type=int, default=0)
     tr_p.add_argument(
         "--engine",
-        choices=("td", "bu", "hybrid", "parallel"),
+        choices=("td", "bu", "hybrid"),
         default="hybrid",
     )
     tr_p.add_argument("--m", type=float, default=64.0, help="threshold M")
     tr_p.add_argument("--n", type=float, default=512.0, help="threshold N")
-    tr_p.add_argument(
-        "--threads", type=int, default=4, help="workers for --engine parallel"
-    )
     tr_p.add_argument(
         "--audit-candidates",
         type=int,
@@ -1345,7 +1343,6 @@ def _graph500_audit(args: argparse.Namespace, tracer):
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.arch import CPU_SANDY_BRIDGE
     from repro.bfs import (
-        ParallelBFS,
         bfs_bottom_up,
         bfs_hybrid,
         bfs_top_down,
@@ -1385,14 +1382,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             result = bfs_top_down(graph, source)
         elif args.engine == "bu":
             result = bfs_bottom_up(graph, source)
-        elif args.engine == "parallel":
-            from repro.bfs.hybrid import MNPolicy
-
-            with ParallelBFS(
-                num_threads=args.threads,
-                policy=MNPolicy(m=args.m, n=args.n),
-            ) as engine:
-                result = engine.run(graph, source)
         else:
             result = bfs_hybrid(graph, source, m=args.m, n=args.n)
         result.validate(graph)

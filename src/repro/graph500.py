@@ -11,9 +11,9 @@ Implements the specification's structure end to end on this library:
   harmonic mean for both times and TEPS.
 
 Engines are pluggable: any callable ``(graph, source) -> BFSResult``
-works, so the same driver measures top-down, bottom-up, the hybrid, or
-the thread-parallel engine — which is how the Section V-D comparisons
-against the reference code are framed.
+works, so the same driver measures top-down, bottom-up or the hybrid —
+which is how the Section V-D comparisons against the reference code are
+framed.
 """
 
 from __future__ import annotations

@@ -80,13 +80,11 @@ def execute_plan(
     priced schedule is appended as simulated-clock spans
     (:func:`annotate_sim_report`).
 
-    Ownership note: plan execution is strictly single-threaded — this
-    function is the sole owner of ``workspace`` (parent/level maps,
-    frontier bitmap, scratch) for the duration of the call, so the
-    parallel engine's ownership protocol does not apply here.  The
-    returned result aliases the workspace arrays until ``detach()``,
-    exactly like the other engines (deep lint rule ``RPR011`` guards
-    post-return writes).
+    Plan execution is single-threaded: this function is the sole owner
+    of ``workspace`` (parent/level maps, frontier bitmap, scratch) for
+    the duration of the call.  The returned result aliases the
+    workspace arrays until ``detach()``, exactly like the other engines
+    (deep lint rule ``RPR011`` guards post-return writes).
     """
     n = graph.num_vertices
     if not 0 <= source < n:

@@ -213,8 +213,8 @@ class ChannelExporter(TraceListener):
     """Serializes one tracer's telemetry into channel frames.
 
     Attach with ``tracer.add_listener(exporter)`` after calling
-    :meth:`hello`.  Sends are serialized under a lock (the parallel
-    engine's workers close spans concurrently) and a broken sink (the
+    :meth:`hello`.  Sends are serialized under a lock (spans may close
+    on any thread of the traced process) and a broken sink (the
     reader went away) flips the exporter into a counting no-op instead
     of poisoning the traced workload.
     """

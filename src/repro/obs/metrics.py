@@ -8,10 +8,9 @@ snapshot` — a plain JSON-ready dict — then optionally
 :meth:`~MetricsRegistry.reset` for the next measurement window.
 
 All instruments are thread-safe (one registry lock; increments are
-cheap) so the thread-parallel engine's workers can publish without
-coordination.  Instrument names are namespaced with dots by convention;
-registering the same name as two different instrument types raises
-:class:`~repro.errors.ObsError`.
+cheap), so any thread can publish without coordination.  Instrument
+names are namespaced with dots by convention; registering the same name
+as two different instrument types raises :class:`~repro.errors.ObsError`.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ A :class:`Tracer` records three kinds of things:
 
 * **spans** — named intervals (`bfs.level`, `graph500.bfs`, …) opened
   with :meth:`Tracer.span` as a context manager.  Spans nest: each
-  thread keeps its own stack, so the parallel engine's workers produce
-  correctly-parented spans without locking on the hot path (the only
-  lock is the append of the finished record).
+  thread keeps its own stack, so spans opened on any thread are
+  correctly parented without locking on the hot path (the only lock is
+  the append of the finished record).
 * **instant events** — point-in-time facts (:meth:`Tracer.instant`),
   used for the decision-audit channel (direction choices, predicted
   switching points).
@@ -345,17 +345,11 @@ class Tracer:
         name: str,
         *,
         track: str | None = None,
-        parent: int | None = None,
         **attrs,
     ) -> Span:
-        """Open a new span (enter the returned context manager).
-
-        An explicit ``parent`` span id wins over the thread's stack —
-        worker-pool spans pass the coordinating span's id so they
-        parent correctly despite running on their own (empty-stack)
-        threads.
-        """
-        return Span(self, name, next(self._ids), parent, track, attrs)
+        """Open a new span (enter the returned context manager); it
+        parents under the innermost open span on this thread."""
+        return Span(self, name, next(self._ids), None, track, attrs)
 
     def _stack(self) -> list[Span]:
         stack = getattr(self._local, "stack", None)
@@ -368,13 +362,12 @@ class Tracer:
 
     def _open(self, span: Span) -> None:
         stack = self._stack()
-        if span.parent_id is None:
-            if stack:
-                span.parent_id = stack[-1].span_id
-            elif self._context is not None:
-                # A root span under an installed cross-process context
-                # parents under the remote span that spawned this work.
-                span.parent_id = self._context.parent_span_id
+        if stack:
+            span.parent_id = stack[-1].span_id
+        elif self._context is not None:
+            # A root span under an installed cross-process context
+            # parents under the remote span that spawned this work.
+            span.parent_id = self._context.parent_span_id
         stack.append(span)
         span.start = self.clock()
         if self._listeners:
@@ -518,10 +511,10 @@ class Tracer:
         """Temporarily install ``context`` on this tracer.
 
         While installed, the tracer reports the context's trace id and
-        new *root* spans (empty thread stack, no explicit parent)
-        parent under ``context.parent_span_id``.  This is how a child
-        process stitches into the parent's trace: build a fresh tracer,
-        install the shipped context, run the work.
+        new *root* spans (empty thread stack) parent under
+        ``context.parent_span_id``.  This is how a child process
+        stitches into the parent's trace: build a fresh tracer, install
+        the shipped context, run the work.
         """
         if not isinstance(context, TraceContext):
             raise ObsError(
@@ -689,7 +682,6 @@ class NullTracer(Tracer):
         name: str,
         *,
         track: str | None = None,
-        parent: int | None = None,
         **attrs,
     ) -> _NullSpan:
         """Return the shared no-op span."""

@@ -1,32 +1,36 @@
-"""Clean twin of rpr015_bad: close() moved into a ``finally``.
+"""Clean twin of rpr015_bad: shutdown() moved into a ``finally``.
 
 The same two-hop raising call chain is present, but every statement
-that can raise sits inside a try-body whose ``finally`` closes the
-engine, so close-on-all-paths holds.
+that can raise sits inside a try-body whose ``finally`` shuts the pool
+down, so close-on-all-paths holds.
 """
 
-from repro.bfs.parallel import ParallelBFS
+from concurrent.futures import ThreadPoolExecutor
 
 __all__ = ["safe_traverse"]
 
 
-def _step(graph, engine, v):
+def _degree(graph, v):
+    return int(graph.degrees[v])
+
+
+def _step(graph, pool, v):
     if v < 0:
         raise ValueError("negative source vertex")
-    return engine.run(graph, v)
+    return pool.submit(_degree, graph, v).result()
 
 
-def _mid(graph, engine, v):
-    return _step(graph, engine, v)
+def _mid(graph, pool, v):
+    return _step(graph, pool, v)
 
 
-def _drive(graph, engine, source):
-    return _mid(graph, engine, source)
+def _drive(graph, pool, source):
+    return _mid(graph, pool, source)
 
 
 def safe_traverse(graph, source, threads):
-    engine = ParallelBFS(num_threads=threads)
+    pool = ThreadPoolExecutor(max_workers=threads)
     try:
-        return _drive(graph, engine, source)
+        return _drive(graph, pool, source)
     finally:
-        engine.close()
+        pool.shutdown()

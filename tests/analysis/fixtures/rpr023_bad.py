@@ -1,27 +1,28 @@
-"""Seeded RPR023 bug: the engine is used after it was closed *two
+"""Seeded RPR023 bug: the collector is polled after it detached, *two
 calls away*.
 
-``finish`` calls ``shutdown`` calls ``_stop`` which closes the
-engine — then ``finish`` runs another traversal on the closed handle.
-Only the interprocedural protocol summaries see the close: the
-one-level view (``TypestateAnalysis(..., interprocedural=False)``)
-provably misses it, which the blind-spot regression test asserts.
+``collect`` leaves its ``with`` block — the collector detaches from
+the tracer — and then calls ``drain_late``, which calls ``_poll``,
+which polls the detached collector.  Only the interprocedural protocol
+summaries see the poll: the one-level view
+(``TypestateAnalysis(..., interprocedural=False)``) provably misses
+it, which the blind-spot regression test asserts.
 """
 
-from repro.bfs.parallel import ParallelBFS
+from repro.obs.live import Collector
 
-__all__ = ["finish"]
-
-
-def _stop(engine):
-    engine.close()
+__all__ = ["collect"]
 
 
-def shutdown(engine):
-    _stop(engine)
+def _poll(collector):
+    return collector.poll()
 
 
-def finish(graph, source, threads):
-    engine = ParallelBFS(num_threads=threads)
-    shutdown(engine)
-    return engine.run(graph, source)  # closed two calls ago
+def drain_late(collector):
+    return _poll(collector)
+
+
+def collect(tracer):
+    with Collector(tracer) as collector:
+        collector.poll()
+    return drain_late(collector)  # polls two calls down, detached

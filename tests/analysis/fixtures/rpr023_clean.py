@@ -1,21 +1,19 @@
-"""RPR023 control: run before the (transitive) close, never after."""
+"""RPR023 control: the (transitive) poll runs while attached."""
 
-from repro.bfs.parallel import ParallelBFS
+from repro.obs.live import Collector
 
-__all__ = ["finish"]
-
-
-def _stop(engine):
-    engine.close()
+__all__ = ["collect"]
 
 
-def shutdown(engine):
-    _stop(engine)
+def _poll(collector):
+    return collector.poll()
 
 
-def finish(graph, source, threads):
-    engine = ParallelBFS(num_threads=threads)
-    try:
-        return engine.run(graph, source)
-    finally:
-        shutdown(engine)
+def drain_late(collector):
+    return _poll(collector)
+
+
+def collect(tracer):
+    with Collector(tracer) as collector:
+        polled = drain_late(collector)
+    return polled

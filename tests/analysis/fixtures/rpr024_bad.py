@@ -6,18 +6,15 @@ the final sum reads it.  The dynamic twin observes the same scenario
 through :meth:`repro.obs.live.ProtocolMonitor.lend`.
 """
 
-from repro.bfs.parallel import ParallelBFS
+from repro.bfs.hybrid import DEFAULT_POLICY, bfs_hybrid
 from repro.bfs.workspace import BFSWorkspace
 
 __all__ = ["compare_roots"]
 
 
-def compare_roots(graph, a, b, threads):
-    engine = ParallelBFS(num_threads=threads)
+def compare_roots(graph, a, b):
     ws = BFSWorkspace(graph.num_vertices)
-    try:
-        first = engine.run(graph, a, workspace=ws)
-        second = engine.run(graph, b, workspace=ws)  # first still live
-        return int(first.parent[0]) + int(second.parent[0])
-    finally:
-        engine.close()
+    first = bfs_hybrid(graph, a, DEFAULT_POLICY, workspace=ws)
+    # first is still live here
+    second = bfs_hybrid(graph, b, DEFAULT_POLICY, workspace=ws)
+    return int(first.parent[0]) + int(second.parent[0])

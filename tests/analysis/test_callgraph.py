@@ -96,7 +96,7 @@ class TestResolution:
         p = _project(("m.py", src))
         dispatch = [e for e in p.edges if e.dispatch]
         assert dispatch and dispatch[0].callee == "m.level.scan"
-        assert "m.level.scan" in p.workers
+        assert dispatch[0].caller == "m.level"
 
 
 class TestFixpoint:
@@ -212,6 +212,17 @@ class TestCacheAndRecords:
         back = record_from_dict(record_to_dict(rec))
         assert back == rec
 
+    def test_record_keeps_the_noqa_map(self):
+        src = (
+            "def f(pool):\n"
+            "    x = (1 +  # repro: noqa[RPR015]\n"
+            "         2)\n"
+            "    return x  # repro: noqa\n"
+        )
+        rec = extract_module("m.py", src)
+        assert rec.noqa == ((2, ("RPR015",)), (3, ("RPR015",)), (4, None))
+        assert record_from_dict(record_to_dict(rec)) == rec
+
     def test_summary_cache_round_trip(self, tmp_path):
         cache_file = tmp_path / "cache.json"
         src_file = tmp_path / "m.py"
@@ -283,8 +294,8 @@ class TestCacheAndRecords:
 
 class TestModuleNames:
     def test_package_walk(self):
-        path = Path("src/repro/bfs/parallel.py")
-        assert module_name_for(path) == "repro.bfs.parallel"
+        path = Path("src/repro/bfs/hybrid.py")
+        assert module_name_for(path) == "repro.bfs.hybrid"
 
     def test_loose_file_uses_stem(self, tmp_path):
         loose = tmp_path / "scratch.py"

@@ -1,4 +1,4 @@
-"""Deep dataflow rules (RPR010-RPR014): golden fixtures, the dtype
+"""Deep dataflow rules (RPR010-RPR012): golden fixtures, the dtype
 lattice, suppression extents, and the shared single-pass node index.
 
 Each seeded-bug fixture in ``tests/analysis/fixtures/`` must be caught
@@ -23,7 +23,7 @@ from repro.analysis.lint import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-DEEP_RULES = ("RPR010", "RPR011", "RPR012", "RPR013", "RPR014")
+DEEP_RULES = ("RPR010", "RPR011", "RPR012")
 
 
 def _lint_fixture(name: str, rule: str):
@@ -66,27 +66,13 @@ class TestGoldenFixtures:
         assert any("detach()" in v.message for v in violations)
         assert any("BFSResult" in v.message for v in violations)
 
-    def test_rpr013_matches_dynamic_defect(self):
-        """The static fixture encodes the same defect the runtime race
-        sanitizer catches (tests/test_stress_and_concurrency.py): a
-        pool worker writing the shared parent map."""
-        violations = _lint_fixture("rpr013_bad.py", "RPR013")
-        assert any(
-            "parent" in v.message and "main thread" in v.message
-            for v in violations
-        )
-
-    def test_rpr014_reports_the_callee(self):
-        violations = _lint_fixture("rpr014_bad.py", "RPR014")
-        assert any("_claim_rows" in v.message for v in violations)
-
     def test_deep_registry_is_exactly_the_fixture_set(self):
         """Module-local deep rules plus the whole-program tier
         (tests/analysis/test_program_rules.py covers the latter), the
         live-telemetry spawn rule (RPR021, fixtures covered in
         tests/analysis/test_lint_rules.py), and the typestate tier
         (RPR022..RPR026, tests/analysis/test_typestate.py)."""
-        program_rules = ("RPR015", "RPR016", "RPR017", "RPR018", "RPR019")
+        program_rules = ("RPR015", "RPR016", "RPR019")
         typestate_rules = (
             "RPR022", "RPR023", "RPR024", "RPR025", "RPR026",
         )

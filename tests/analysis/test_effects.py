@@ -1,6 +1,6 @@
 """Per-function read/write/escape effect summaries and their call-graph
-propagation: the legacy one-level pass (the historical RPR014 input)
-and the worklist fixpoint that replaced it."""
+propagation: the legacy one-level pass and the worklist fixpoint that
+replaced it."""
 
 import ast
 

@@ -14,38 +14,37 @@ from pathlib import Path
 from repro.analysis import lint_paths
 
 FIXTURES = Path(__file__).parent / "fixtures"
-RPR017_DIR = FIXTURES / "rpr017_bad"
-ENGINE = RPR017_DIR / "engine.py"
+RPR015_DIR = FIXTURES / "rpr015_bad"
+DRIVER = RPR015_DIR / "driver.py"
 
 
 class TestRestrictTo:
     def test_restricted_run_keeps_whole_project_context(self):
-        """Reporting only on engine.py must still surface the
-        cross-module RPR017 violation (helpers.py provides the write
-        path)."""
+        """Reporting only on driver.py must still surface the
+        cross-module RPR015 violation (steps.py provides the raise)."""
         violations, checked = lint_paths(
-            [RPR017_DIR],
-            select=["RPR017"],
+            [RPR015_DIR],
+            select=["RPR015"],
             deep=True,
-            restrict_to=[ENGINE],
+            restrict_to=[DRIVER],
         )
         assert checked == 1  # only the restricted file is reported on
-        assert [v.rule for v in violations] == ["RPR017"]
-        assert violations[0].path.endswith("engine.py")
+        assert [v.rule for v in violations] == ["RPR015"]
+        assert violations[0].path.endswith("driver.py")
 
     def test_naive_subset_analysis_would_miss_it(self):
         """The defect this fixes: analyzing the changed file alone
         (the old --changed behavior) cannot see the violation."""
         violations, checked = lint_paths(
-            [ENGINE], select=["RPR017"], deep=True
+            [DRIVER], select=["RPR015"], deep=True
         )
         assert checked == 1
         assert violations == []
 
     def test_restrict_to_outside_scope_reports_nothing(self):
         violations, checked = lint_paths(
-            [RPR017_DIR],
-            select=["RPR017"],
+            [RPR015_DIR],
+            select=["RPR015"],
             deep=True,
             restrict_to=[FIXTURES / "rpr015_bad.py"],
         )
@@ -57,7 +56,7 @@ class TestChangedFlagCli:
     def test_changed_deep_lint_analyzes_the_full_scope(
         self, monkeypatch, capsys
     ):
-        """`repro-bfs lint --deep --changed` with only engine.py
+        """`repro-bfs lint --deep --changed` with only driver.py
         changed must still report the cross-module violation."""
         import repro.analysis
         from repro.cli import main
@@ -65,16 +64,16 @@ class TestChangedFlagCli:
         monkeypatch.setattr(
             repro.analysis,
             "changed_python_files",
-            lambda paths: [ENGINE],
+            lambda paths: [DRIVER],
         )
         code = main(
-            ["lint", "--deep", "--select", "RPR017",
-             "--changed", str(RPR017_DIR)]
+            ["lint", "--deep", "--select", "RPR015",
+             "--changed", str(RPR015_DIR)]
         )
         captured = capsys.readouterr()
         assert code == 1
-        assert "RPR017" in captured.out
-        assert "engine.py" in captured.out
+        assert "RPR015" in captured.out
+        assert "driver.py" in captured.out
         assert "1 file(s)" in captured.err
 
     def test_changed_with_no_changes_short_circuits(
@@ -86,6 +85,6 @@ class TestChangedFlagCli:
         monkeypatch.setattr(
             repro.analysis, "changed_python_files", lambda paths: []
         )
-        code = main(["lint", "--deep", "--changed", str(RPR017_DIR)])
+        code = main(["lint", "--deep", "--changed", str(RPR015_DIR)])
         assert code == 0
         assert "no changed" in capsys.readouterr().out

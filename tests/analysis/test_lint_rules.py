@@ -35,12 +35,8 @@ class TestRegistry:
             "RPR010",
             "RPR011",
             "RPR012",
-            "RPR013",
-            "RPR014",
             "RPR015",
             "RPR016",
-            "RPR017",
-            "RPR018",
             "RPR019",
             "RPR020",
             "RPR021",
@@ -55,18 +51,17 @@ class TestRegistry:
         from repro.analysis import deep_rule_codes
 
         assert deep_rule_codes() == [
-            "RPR010", "RPR011", "RPR012", "RPR013", "RPR014",
-            "RPR015", "RPR016", "RPR017", "RPR018", "RPR019",
+            "RPR010", "RPR011", "RPR012",
+            "RPR015", "RPR016", "RPR019",
             "RPR021",
             "RPR022", "RPR023", "RPR024", "RPR025", "RPR026",
         ]
         for code in deep_rule_codes():
             assert RULES[code].deep
         # the whole-program subset is flagged as such
-        for code in ("RPR015", "RPR016", "RPR017", "RPR018", "RPR019"):
+        for code in ("RPR015", "RPR016", "RPR019"):
             assert RULES[code].whole_program
-        for code in ("RPR010", "RPR011", "RPR012", "RPR013", "RPR014",
-                     "RPR021"):
+        for code in ("RPR010", "RPR011", "RPR012", "RPR021"):
             assert not RULES[code].whole_program
 
     def test_deep_rules_excluded_by_default(self):

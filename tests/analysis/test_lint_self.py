@@ -21,7 +21,7 @@ def test_package_lints_clean():
 
 
 def test_package_lints_clean_deep(package_deep_lint):
-    """The dataflow/race rules (RPR010-RPR014) must also run clean over
+    """The deep rules (``deep_rule_codes()``) must also run clean over
     the whole package — ``repro-bfs lint --deep src/repro`` is a merge
     gate from this PR onward."""
     violations, checked = package_deep_lint
@@ -70,7 +70,7 @@ def test_hot_path_modules_are_covered():
 
 
 def test_wholeprogram_baseline_is_current():
-    """The committed whole-program report (call-graph stats + RPR015-019
+    """The committed whole-program report (call-graph stats + program-rule
     findings) must match a fresh fixpoint run over the package: zero
     violations, the same rule set, and a package that has not shrunk.
     Regenerate with ``repro-bfs callgraph src/repro --write-baseline

@@ -1,10 +1,10 @@
-"""Golden fixtures for the whole-program rules (RPR015–RPR019).
+"""Golden fixtures for the whole-program rules (RPR015, RPR016, RPR019).
 
 Every bad fixture plants a *two-hop* violation: the defect is only
-visible once effects have crossed at least two call edges (or, for
-RPR017/RPR018, a module boundary), which the retired one-level
-propagation engine provably cannot see — each rule gets a companion
-test demonstrating exactly that blind spot.
+visible once effects have crossed at least two call edges (or, for the
+two-module RPR015 package, a module boundary), which the retired
+one-level propagation engine provably cannot see — each fixture gets a
+companion test demonstrating exactly that blind spot.
 """
 
 import ast
@@ -22,7 +22,7 @@ from repro.analysis.effects import (
 FIXTURES = Path(__file__).parent / "fixtures"
 
 FILE_RULES = ("RPR015", "RPR016", "RPR019")
-DIR_RULES = ("RPR017", "RPR018")
+DIR_RULES = ("RPR015",)
 
 
 def _lint_file_fixture(name: str, rule: str):
@@ -81,18 +81,11 @@ class TestMessages:
         assert any("frontier_view" in v.message for v in violations)
         assert any("detach" in v.message for v in violations)
 
-    def test_rpr017_reports_engine_side_call_site(self):
-        violations = _lint_dir_fixture("rpr017_bad", "RPR017")
+    def test_rpr015_dir_reports_the_cross_module_raise(self):
+        violations = _lint_dir_fixture("rpr015_bad", "RPR015")
         v = violations[0]
-        assert Path(v.path).name == "engine.py"
-        assert "parent" in v.message and "helpers" in v.message
-
-    def test_rpr018_anchors_on_the_public_function(self):
-        violations = _lint_dir_fixture("rpr018_bad", "RPR018")
-        v = violations[0]
-        assert Path(v.path).name == "api.py"
-        assert "hijack_merge" in v.message
-        assert "merge_claims" in v.message
+        assert Path(v.path).name == "driver.py"
+        assert "steps.drive" in v.message and "finally" in v.message
 
     def test_rpr019_names_the_cycle(self):
         violations = _lint_file_fixture("rpr019_bad.py", "RPR019")
@@ -127,30 +120,70 @@ class TestOneLevelBlindSpots:
         p = project_from_sources([("rpr016_bad.py", source)])
         assert p.summaries["rpr016_bad.frontier_view"].returns_ws
 
-    def test_rpr017_write_is_in_another_module(self):
-        """Module-local propagation of engine.py alone — even run to
-        fixpoint — cannot see helpers.py's write at all."""
-        tree = ast.parse(
-            (FIXTURES / "rpr017_bad" / "engine.py").read_text(
-                encoding="utf-8"
-            )
-        )
-        local = propagate(module_effects(tree))
-        assert all("parent" not in fx.writes for fx in local.values())
+    def test_rpr015_raise_is_in_another_module(self):
+        """Module-local propagation of driver.py alone — even run to
+        fixpoint — cannot see that steps.py's ``drive`` raises."""
+        from repro.analysis.callgraph import project_from_sources
 
-    def test_rpr018_needs_cross_module_reachability(self):
-        """api.py alone has no callee bodies: nothing marks the call
-        chain as ownership-gated."""
-        tree = ast.parse(
-            (FIXTURES / "rpr018_bad" / "api.py").read_text(encoding="utf-8")
+        driver = FIXTURES / "rpr015_bad" / "driver.py"
+        source = driver.read_text(encoding="utf-8")
+        local = propagate(module_effects(ast.parse(source)))
+        assert not local["leaky_sweep"].raises
+        steps = FIXTURES / "rpr015_bad" / "steps.py"
+        p = project_from_sources(
+            [(driver, source), (steps, steps.read_text(encoding="utf-8"))]
         )
-        local = propagate(module_effects(tree))
-        assert "hijack_merge" in local  # sanity: the chain parses
-        from repro.analysis.callgraph import _owned_lines
+        assert p.summaries["driver.leaky_sweep"].raises
 
-        source = (FIXTURES / "rpr018_bad" / "api.py").read_text(
-            encoding="utf-8"
+
+class TestOneSuppressionSource:
+    """``lint --deep`` and the whole-program baseline read one
+    ``# repro: noqa`` map, so a suppressed finding is absent from
+    both gates, and an unsuppressed one is present in both."""
+
+    def _plant(self, tmp_path, marker: str):
+        source = (FIXTURES / "rpr015_bad.py").read_text(encoding="utf-8")
+        acquisition = "    pool = ThreadPoolExecutor(max_workers=threads)"
+        assert acquisition in source
+        path = tmp_path / "rpr015_planted.py"
+        path.write_text(
+            source.replace(acquisition, acquisition + marker),
+            encoding="utf-8",
         )
-        # No ownership *comment* in api.py (the docstring mention does
-        # not count): the gate lives in merge.py, one module away.
-        assert _owned_lines(source) == frozenset()
+        return path
+
+    def _gates(self, path, tmp_path):
+        import json
+
+        from repro.analysis import build_project, program_report
+        from repro.cli import main
+
+        deep, _ = lint_paths([path], select=["RPR015"], deep=True)
+        report = program_report(build_project([path]))
+        baseline = tmp_path / "baseline.json"
+        assert main(
+            ["callgraph", str(path), "--write-baseline", str(baseline)]
+        ) == 0
+        written = json.loads(baseline.read_text(encoding="utf-8"))
+        return deep, report["RPR015"], written["violations"]
+
+    @pytest.mark.parametrize(
+        ("marker", "reported"),
+        [
+            ("  # repro: noqa[RPR015]", False),
+            ("  # repro: noqa[RPR016]", True),
+            ("", True),
+        ],
+        ids=["suppressed", "other-code", "unmarked"],
+    )
+    def test_both_gates_give_one_verdict(
+        self, tmp_path, capsys, marker, reported
+    ):
+        path = self._plant(tmp_path, marker)
+        deep, report, written = self._gates(path, tmp_path)
+        if not reported:
+            assert (deep, report, written) == ([], {}, {})
+            return
+        assert [v.rule for v in deep] == ["RPR015"]
+        assert [ln for ln, _, _ in report[str(path)]] == [deep[0].line]
+        assert list(written) == ["RPR015"]

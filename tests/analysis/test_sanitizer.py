@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import repro.bfs.topdown as topdown_mod
-from repro.analysis import RaceTracker, Sanitizer, frozen_arrays
+from repro.analysis import Sanitizer, frozen_arrays
 from repro.bfs import (
     bfs_bottom_up,
     bfs_hybrid,
@@ -182,77 +182,6 @@ class TestInjectedCorruption:
         with pytest.raises(SanitizerError) as exc:
             san.finish(parent, level)
         assert 3 in exc.value.vertices
-
-
-class TestRaceTracker:
-    """Thread-ownership write tracking: the level's legitimate write
-    set is exactly the claimed next frontier."""
-
-    def _maps(self, n, source):
-        parent = np.full(n, -1, dtype=np.int64)
-        level = np.full(n, -1, dtype=np.int64)
-        parent[source] = source
-        level[source] = 0
-        return parent, level
-
-    def test_bad_source_rejected(self, rmat_small):
-        with pytest.raises(BFSError):
-            RaceTracker(rmat_small, rmat_small.num_vertices)
-
-    def test_clean_level_verifies(self):
-        g = CSRGraph.from_edges([0, 1, 2], [1, 2, 3], 4)
-        tracker = RaceTracker(g, 0)
-        parent, level = self._maps(4, 0)
-        tracker.begin_level(parent, level)
-        parent[1], level[1] = 0, 1  # the main-thread merge
-        tracker.verify_level(0, parent, level, np.array([1]))
-        assert tracker.levels_verified == 1
-        assert tracker.writes_verified == 2  # parent + level entries
-
-    def test_rogue_write_raises(self):
-        g = CSRGraph.from_edges([0, 1, 2], [1, 2, 3], 4)
-        tracker = RaceTracker(g, 0)
-        parent, level = self._maps(4, 0)
-        tracker.begin_level(parent, level)
-        parent[1], level[1] = 0, 1
-        parent[3] = 9  # not in the claimed set: a bypassing write
-        with pytest.raises(SanitizerError) as exc:
-            tracker.verify_level(0, parent, level, np.array([1]))
-        assert "outside the claimed next frontier" in str(exc.value)
-        assert exc.value.level == 0
-        assert 3 in exc.value.vertices
-
-    def test_unwritten_claim_raises(self):
-        g = CSRGraph.from_edges([0, 1, 2], [1, 2, 3], 4)
-        tracker = RaceTracker(g, 0)
-        parent, level = self._maps(4, 0)
-        tracker.begin_level(parent, level)
-        parent[1], level[1] = 0, 1
-        with pytest.raises(SanitizerError) as exc:
-            tracker.verify_level(0, parent, level, np.array([1, 2]))
-        assert "never written" in str(exc.value)
-        assert 2 in exc.value.vertices
-
-    def test_stamps_reset_each_level(self):
-        g = CSRGraph.from_edges([0], [1], 2)
-        tracker = RaceTracker(g, 0)
-        parent, level = self._maps(2, 0)
-        tracker.begin_level(parent, level)
-        tracker.stamp_chunk("expand@0")
-        tracker.stamp_chunk("expand@0")
-        assert len(tracker._stamps) == 2
-        tracker.begin_level(parent, level)
-        assert tracker._stamps == []
-
-    def test_summary_counts(self):
-        g = CSRGraph.from_edges([0], [1], 2)
-        tracker = RaceTracker(g, 0)
-        parent, level = self._maps(2, 0)
-        tracker.begin_level(parent, level)
-        parent[1], level[1] = 0, 1
-        tracker.verify_level(0, parent, level, np.array([1]))
-        assert "1 levels" in tracker.summary()
-        assert "0 rogue writes" in tracker.summary()
 
 
 class TestErrorStructure:

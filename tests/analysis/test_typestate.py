@@ -201,7 +201,6 @@ class TestProtocolSpecs:
             "collector",
             "flight-recorder",
             "bfs-workspace",
-            "parallel-bfs",
         }
 
     def test_unknown_machine_raises(self):
@@ -209,7 +208,7 @@ class TestProtocolSpecs:
             get_protocol("nope")
 
     def test_ctor_and_type_lookup(self):
-        assert protocol_for_ctor("ParallelBFS").name == "parallel-bfs"
+        assert protocol_for_ctor("BFSWorkspace").name == "bfs-workspace"
         assert protocol_for_type("Collector").name == "collector"
         assert protocol_for_ctor("CSRGraph") is None
 
@@ -348,52 +347,53 @@ class TestDynamicTwins:
             list(read_capture(capture, conformance="strict"))
 
     def test_rpr023_twin_run_after_close(self):
-        # the rpr023_bad scenario on a real engine: the strict monitor
-        # rejects run() before it reaches the closed executor
-        from repro.bfs.parallel import ParallelBFS
+        # the rpr023_bad scenario on a real collector: the strict
+        # monitor rejects poll() once the with block has detached it
+        from repro.obs.live import Collector
 
-        engine = ParallelBFS(num_threads=2)
+        collector = Collector(Tracer())
         monitor = ProtocolMonitor(strict=True)
-        monitor.attach(engine, subject="engine")
-        engine.close()
+        monitor.attach(collector, subject="collector")
+        with collector:
+            monitor.observe("collector", "enter")
+            collector.poll()
+        monitor.observe("collector", "exit")
         with pytest.raises(ProtocolError, match="illegal in state"):
-            engine.run(None, 0)  # never reaches the real traversal
-        assert monitor.violations[0].event == "run"
+            collector.poll()  # never reaches the real drain
+        assert monitor.violations[0].event == "use"
 
     def test_rpr024_twin_reuse_while_lent(self):
-        # the rpr024_bad scenario on a real workspace + engine
-        from repro.bfs.parallel import ParallelBFS
+        # the rpr024_bad scenario on a real workspace traversal
+        from repro.bfs.hybrid import DEFAULT_POLICY, bfs_hybrid
         from repro.bfs.workspace import BFSWorkspace
         from repro.graph.generators import grid2d
 
         graph = grid2d(4, 4)
         monitor = ProtocolMonitor()
-        with ParallelBFS(num_threads=2) as engine:
-            ws = BFSWorkspace(graph.num_vertices)
-            monitor.begin("bfs-workspace", "ws")
-            first = engine.run(graph, 0, workspace=ws)
-            monitor.lend("ws", first)
-            second = engine.run(graph, 5, workspace=ws)
-            monitor.lend("ws", second)  # first never detached
+        ws = BFSWorkspace(graph.num_vertices)
+        monitor.begin("bfs-workspace", "ws")
+        first = bfs_hybrid(graph, 0, DEFAULT_POLICY, workspace=ws)
+        monitor.lend("ws", first)
+        second = bfs_hybrid(graph, 5, DEFAULT_POLICY, workspace=ws)
+        monitor.lend("ws", second)  # first never detached
         assert [v.event for v in monitor.violations] == ["traverse"]
         assert monitor.violations[0].machine == "bfs-workspace"
 
     def test_rpr024_twin_detach_resets(self):
         # the rpr024_clean scenario stays silent
-        from repro.bfs.parallel import ParallelBFS
+        from repro.bfs.hybrid import DEFAULT_POLICY, bfs_hybrid
         from repro.bfs.workspace import BFSWorkspace
         from repro.graph.generators import grid2d
 
         graph = grid2d(4, 4)
         monitor = ProtocolMonitor()
-        with ParallelBFS(num_threads=2) as engine:
-            ws = BFSWorkspace(graph.num_vertices)
-            monitor.begin("bfs-workspace", "ws")
-            first = engine.run(graph, 0, workspace=ws)
-            monitor.lend("ws", first)
-            first.detach()
-            second = engine.run(graph, 5, workspace=ws)
-            monitor.lend("ws", second)
+        ws = BFSWorkspace(graph.num_vertices)
+        monitor.begin("bfs-workspace", "ws")
+        first = bfs_hybrid(graph, 0, DEFAULT_POLICY, workspace=ws)
+        monitor.lend("ws", first)
+        first.detach()
+        second = bfs_hybrid(graph, 5, DEFAULT_POLICY, workspace=ws)
+        monitor.lend("ws", second)
         assert monitor.violations == []
 
     def test_rpr025_twin_raise_leaves_stream_open(self):

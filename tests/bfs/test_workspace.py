@@ -1,5 +1,5 @@
-"""BFSWorkspace: reuse correctness, adversarial topologies, claim step,
-bitmap fast paths, and the parallel engine's pool lifecycle."""
+"""BFSWorkspace: reuse correctness, adversarial topologies, claim step
+and bitmap fast paths."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro.bfs import (
     BFSWorkspace,
-    ParallelBFS,
     bfs_bottom_up,
     bfs_hybrid,
     bfs_reference,
@@ -256,41 +255,6 @@ class TestBitmapFastPaths:
         assert bits.nonzero().tolist() == [2]
         bits = ws.load_frontier(np.zeros(0, dtype=np.int64))
         assert bits.count() == 0
-
-
-# -- parallel engine lifecycle ----------------------------------------------
-
-
-class TestParallelLifecycle:
-    def test_closed_engine_raises(self, rmat_small):
-        engine = ParallelBFS(num_threads=2)
-        engine.close()
-        assert engine.closed
-        with pytest.raises(BFSError, match="closed"):
-            engine.run(rmat_small, 0)
-
-    def test_context_manager_closes(self, rmat_small):
-        with ParallelBFS(num_threads=2) as engine:
-            result = engine.run(rmat_small, 0)
-            _check_against_reference(rmat_small, 0, result)
-        assert engine.closed
-        with pytest.raises(BFSError):
-            engine.run(rmat_small, 0)
-
-    def test_close_idempotent(self):
-        engine = ParallelBFS(num_threads=1)
-        engine.close()
-        engine.close()
-
-    def test_parallel_workspace_reuse(self, rmat_small):
-        ws = BFSWorkspace.for_graph(rmat_small)
-        with ParallelBFS.hybrid(num_threads=3, m=20, n=100) as engine:
-            for s in (0, 7, 0, 31):
-                warm = engine.run(rmat_small, s, workspace=ws)
-                fresh = engine.run(rmat_small, s)
-                np.testing.assert_array_equal(warm.parent, fresh.parent)
-                np.testing.assert_array_equal(warm.level, fresh.level)
-                assert warm.edges_examined == fresh.edges_examined
 
 
 # -- warm-path allocation telemetry ----------------------------------------

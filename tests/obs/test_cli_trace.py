@@ -60,7 +60,7 @@ class TestTraceCommand:
         _, _, events = read_jsonl(tmp_path / "run.jsonl")
         assert not any(e.name == "audit.switching_point" for e in events)
 
-    @pytest.mark.parametrize("engine", ["td", "bu", "parallel"])
+    @pytest.mark.parametrize("engine", ["td", "bu"])
     def test_other_engines(self, capsys, tmp_path, engine):
         rc = main(
             [

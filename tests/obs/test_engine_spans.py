@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bfs import ParallelBFS, bfs_bottom_up, bfs_hybrid, bfs_top_down
+from repro.bfs import bfs_bottom_up, bfs_hybrid, bfs_top_down
 from repro.bfs.multisource import msbfs
 from repro.bfs.profiler import profile_bfs
 from repro.graph500 import HybridEngine, run_graph500
@@ -74,26 +74,6 @@ class TestSingleThreadEngines:
         bfs_hybrid(rmat_small, rmat_source, m=14.0, n=24.0)
         after = len(ambient.spans()) if ambient.enabled else 0
         assert after == before
-
-
-class TestParallelEngine:
-    def test_worker_spans_on_worker_threads(
-        self, rmat_small, rmat_source, tracer
-    ):
-        engine = ParallelBFS(num_threads=3)
-        result = engine.run(rmat_small, rmat_source, tracer=tracer)
-        (root,) = tracer.spans("bfs.parallel")
-        assert root.attrs["num_threads"] == 3
-        assert root.attrs["levels"] == result.num_levels
-        workers = tracer.spans("worker.expand") + tracer.spans(
-            "worker.scan"
-        )
-        assert workers, "worker chunks must produce spans"
-        names = {r.thread_name for r in workers}
-        assert all(n.startswith("repro-bfs") for n in names)
-        # Worker spans are recorded on the workers' own threads, which
-        # become their own tracks in the Chrome export.
-        assert all(r.thread_id != root.thread_id for r in workers)
 
 
 class TestMultiSource:

@@ -101,14 +101,6 @@ class TestUseContext:
         # nested spans still parent on the local stack
         assert by_name["nested"].parent_id == by_name["outer"].span_id
 
-    def test_explicit_parent_beats_the_context(self):
-        tracer = Tracer(clock=ManualClock())
-        ctx = TraceContext(trace_id="t", parent_span_id=99)
-        with tracer.use_context(ctx):
-            with tracer.span("pinned", parent=7):
-                pass
-        assert tracer.spans("pinned")[0].parent_id == 7
-
     def test_needs_a_trace_context(self):
         tracer = Tracer(clock=ManualClock())
         with pytest.raises(ObsError):

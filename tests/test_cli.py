@@ -343,9 +343,7 @@ class TestCallgraphCommand:
         assert payload["schema"] == (
             "repro.analysis.wholeprogram_baseline/1"
         )
-        assert payload["program_rules"] == [
-            "RPR015", "RPR016", "RPR017", "RPR018", "RPR019"
-        ]
+        assert payload["program_rules"] == ["RPR015", "RPR016", "RPR019"]
 
     def test_no_inputs_is_an_error(self, capsys, tmp_path):
         assert main(["callgraph", str(tmp_path)]) == 2

@@ -44,7 +44,6 @@ PUBLIC = {
         "bfs_hybrid",
         "bfs_spmv",
         "MNPolicy",
-        "ParallelBFS",
         "msbfs",
         "MultiSourceResult",
         "profile_bfs",
